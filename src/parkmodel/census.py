@@ -21,20 +21,22 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from random import Random
 from typing import Iterator, Optional, Sequence
 
 from .core import (
     NaplesSemantics,
-    _highest_free_upto,
     _lowest_free_from,
     _naples_branch_spot,
     _parks,
 )
 from .exact import (
     Poly,
+    _branch_counts_to_poly,
+    _direction_backward,
     _success_branch_counts,
-    _weight_poly,
     parking_choice_count,
 )
 from .recursions import expected_random_naples, naples_count, parking_count
@@ -245,13 +247,15 @@ def full_census(
         counts[g] = c
     table = DistributionTable(n=n, k=k, semantics=semantics, counts=tuple(counts))
 
-    assert table.total() == n**n, f"census total is not {n}^{n}"
+    if table.total() != n**n:
+        raise RuntimeError(f"census total is not {n}^{n}")
     if k == 1:
-        assert table.counts[-1] == parking_count(n), "full-probability count mismatch"
-        assert table.counts[0] == n**n - naples_count(n, 1), "zero-probability count mismatch"
-        assert table.expectation() == expected_random_naples(n, 1, Fraction(1, 2)), (
-            "census expectation disagrees with the recursion"
-        )
+        if table.counts[-1] != parking_count(n):
+            raise RuntimeError("full-probability count mismatch")
+        if table.counts[0] != n**n - naples_count(n, 1):
+            raise RuntimeError("zero-probability count mismatch")
+        if table.expectation() != expected_random_naples(n, 1, Fraction(1, 2)):
+            raise RuntimeError("census expectation disagrees with the recursion")
     return table
 
 
@@ -341,7 +345,8 @@ def staircase_choice_count(shape: StaircaseShape) -> int:
         g += (1 << (rem - 1)) - (1 << (rem - m))
         rem -= m
     g += (1 << (rem - 1)) - 1
-    assert g & 1, "staircase count came out even; the shape walk is broken"
+    if not g & 1:
+        raise RuntimeError("staircase count came out even; the shape walk is broken")
     return g
 
 
@@ -352,8 +357,8 @@ def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
     """The unique n-tuple whose parking probability is (2t-1) / 2^(n-1).
 
     Found by scanning the 2^(n-2) staircase shapes for the one whose closed
-    form hits 2t-1; the result is re-checked against the brute-force choice
-    count before being returned.
+    form hits 2t-1; the result is re-checked against the exact choice count
+    before being returned.
     """
     if n < 2:
         raise ValueError(f"odd numerators need n >= 2, got {n}")
@@ -368,11 +373,10 @@ def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
     for shape in iter_staircase_shapes(n):
         if staircase_choice_count(shape) == target:
             alpha = shape.expand()
-            assert parking_choice_count(alpha) == target, (
-                f"closed form and replay disagree on {alpha}"
-            )
+            if parking_choice_count(alpha) != target:
+                raise RuntimeError(f"closed form and replay disagree on {alpha}")
             return alpha
-    raise AssertionError(f"no staircase shape with count {target} at n={n}")
+    raise RuntimeError(f"no staircase shape with count {target} at n={n}")
 
 
 def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
@@ -403,7 +407,8 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
     else:
         inner = tuple_for_numerator(n - 1, a // 2)
         alpha = (1,) + tuple(x + 1 for x in inner)
-    assert parking_choice_count(alpha) == a, f"constructed {alpha} misses numerator {a}"
+    if parking_choice_count(alpha) != a:
+        raise RuntimeError(f"constructed {alpha} misses numerator {a}")
     return alpha
 
 
@@ -544,13 +549,8 @@ def verify_monotonicity(
     violations = 0
     if n <= 5:
         checked = 0
-        for idx in range(n**n):
-            prefs = []
-            x = idx
-            for _ in range(n):
-                prefs.append(x % n + 1)
-                x //= n
-            prefs = tuple(prefs)
+        for reversed_prefs in product(range(1, n + 1), repeat=n):
+            prefs = reversed_prefs[::-1]
             table = [
                 _parks(prefs, beta, True, 1, False, full)
                 for beta in range(1 << nbits)
@@ -589,32 +589,17 @@ DIRECTION_TOTAL_MAX_N = 7
 def verify_direction_total(n: int) -> VerificationReport:
     """Sum of random-direction parking probabilities is (n+1)^(n-1), exactly in p.
 
-    Aggregates branch counts over every tuple in {1..n}^n and assembles one
-    polynomial at the end, then compares it with the constant the closed
-    form predicts. This is the strongest desk check of the expected-count
-    identity for the direction model: it holds for all p at once.
+    Sums the branch counts over every tuple in {1..n}^n at once (each car may
+    prefer every spot), assembles one polynomial, and compares it with the
+    constant the closed form predicts. This is the strongest desk check of
+    the expected-count identity for the direction model: it holds for all p.
     """
     if not 1 <= n <= DIRECTION_TOTAL_MAX_N:
         raise ValueError(
             f"the direction-total sweep supports 1 <= n <= {DIRECTION_TOTAL_MAX_N}, got {n}"
         )
-
-    def backward(free: int, a: int) -> int:
-        return _highest_free_upto(free, a - 1) if a > 1 else 0
-
-    totals: dict[tuple[int, int], int] = {}
-    for idx in range(n**n):
-        prefs = []
-        x = idx
-        for _ in range(n):
-            prefs.append(x % n + 1)
-            x //= n
-        for key, c in _success_branch_counts(tuple(prefs), backward).items():
-            totals[key] = totals.get(key, 0) + c
-
-    poly = Poly.zero()
-    for (f, b), c in totals.items():
-        poly = poly + _weight_poly(f, b).scale(c)
+    counts = _success_branch_counts([range(1, n + 1)] * n, _direction_backward)
+    poly = _branch_counts_to_poly(counts, p_is_backward=False)
     expected = Poly.constant((n + 1) ** (n - 1))
     checks = (
         CheckResult(
@@ -639,25 +624,15 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
         raise ValueError(f"the semantics sweep supports 1 <= n <= 6, got {n}")
     if k < 1:
         raise ValueError(f"semantics comparison needs k >= 1, got {k}")
-    half = Fraction(1, 2)
+    every = [range(1, n + 1)] * n
     sums = {}
     for semantics in NaplesSemantics:
         firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-
-        def backward(free: int, a: int, _ff: bool = firstfit) -> int:
-            return _naples_branch_spot(free, a, k, _ff)
-
-        total_num = 0
-        for idx in range(n**n):
-            prefs = []
-            x = idx
-            for _ in range(n):
-                prefs.append(x % n + 1)
-                x //= n
-            for (f, b), c in _success_branch_counts(tuple(prefs), backward).items():
-                total_num += c << (n - 1 - f - b)
+        backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
+        counts = _success_branch_counts(every, backward)
+        total_num = sum(c << (n - 1 - f - b) for (f, b), c in counts.items())
         sums[semantics] = Fraction(total_num, 1 << (n - 1))
-    recursion = expected_random_naples(n, k, half)
+    recursion = expected_random_naples(n, k, Fraction(1, 2))
     if k == 1:
         checks = (
             CheckResult(

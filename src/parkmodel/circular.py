@@ -12,11 +12,12 @@ linear model allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .census import CheckResult, VerificationReport
 from .core import check_choice_bits, check_preferences
-from .exact import Poly, _weight_poly, prob_random_direction
+from .exact import Poly, _branch_counts_to_poly, _park_all, prob_random_direction
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def _scan(occ: int, start: int, step: int, ring: int) -> int:
         if not occ & (1 << (s - 1)):
             return s
         s = (s - 1 + step) % ring + 1
-    raise AssertionError("a full ring has no free spot; caller broke the invariant")
+    raise RuntimeError("a full ring has no free spot; caller broke the invariant")
 
 
 def circular_park(prefs: Sequence[int], beta: int) -> int:
@@ -96,35 +97,22 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
 def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     """Exact empty-spot distribution with forward weight p, backward 1 - p.
 
-    Walks the shared-prefix tree of choice vectors, branching only at
-    conflicted cars, and pools leaves by (empty spot, forward flips,
-    backward flips) before expanding weights into polynomials.
+    Runs the graded transfer step car by car with the two ring scans as a
+    blocked car's moves. Each final mask leaves a different spot empty, and
+    its (forward flips, backward flips) counts expand into that spot's
+    polynomial.
     """
     n = len(prefs)
     ring = n + 1
     check_preferences(prefs, ring)
-    counts: dict[tuple[int, int, int], int] = {}
 
-    def walk(i: int, occ: int, fwd: int, bwd: int) -> None:
-        if i == n:
-            empty = (~occ & ((1 << ring) - 1)).bit_length()
-            key = (empty, fwd, bwd)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        a = prefs[i]
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            walk(i + 1, occ | bit, fwd, bwd)
-            return
-        s = _scan(occ, a % ring + 1, 1, ring)
-        walk(i + 1, occ | 1 << (s - 1), fwd + 1, bwd)
-        s = _scan(occ, (a - 2) % ring + 1, -1, ring)
-        walk(i + 1, occ | 1 << (s - 1), fwd, bwd + 1)
+    def moves(occ: int, a: int) -> tuple[int, int]:
+        return _scan(occ, a % ring + 1, 1, ring), _scan(occ, (a - 2) % ring + 1, -1, ring)
 
-    walk(0, 0, 0, 0)
     per_spot = [Poly.zero()] * ring
-    for (empty, f, b), c in counts.items():
-        per_spot[empty - 1] = per_spot[empty - 1] + _weight_poly(f, b).scale(c)
+    for occ, grades in _park_all([(a,) for a in prefs], moves).items():
+        empty = (~occ & ((1 << ring) - 1)).bit_length()
+        per_spot[empty - 1] = _branch_counts_to_poly(grades, p_is_backward=False)
     return EmptySpotDistribution(n, tuple(per_spot))
 
 
@@ -154,13 +142,8 @@ def verify_circular(n: int) -> VerificationReport:
     disagree_example = ""
     dists: dict[tuple[int, ...], EmptySpotDistribution] = {}
 
-    for idx in range(ring**n):
-        prefs = []
-        x = idx
-        for _ in range(n):
-            prefs.append(x % ring + 1)
-            x //= ring
-        prefs = tuple(prefs)
+    for reversed_prefs in product(range(1, ring + 1), repeat=n):
+        prefs = reversed_prefs[::-1]
         dist = empty_spot_distribution(prefs)
         dists[prefs] = dist
         for i in range(ring):

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import sys
 from fractions import Fraction
 
 import click
@@ -104,19 +105,25 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _echo(text: str, nl: bool = True) -> None:
+    # Without a file, click caches a wrapper per sys.stdout it sees, and the
+    # cache never frees the fresh stdout each in-process invocation installs.
+    click.echo(text, file=sys.stdout, nl=nl)
+
+
 def _emit(fmt: str, meta: dict, header: list, rows: list, text_lines: list) -> None:
     if fmt == "json":
-        click.echo(json.dumps({"meta": meta, "rows": rows}, indent=2))
+        _echo(json.dumps({"meta": meta, "rows": rows}, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([row[col] for col in header])
-        click.echo(buf.getvalue(), nl=False)
+        _echo(buf.getvalue(), nl=False)
     else:
         for line in text_lines:
-            click.echo(line)
+            _echo(line)
 
 
 def _meta(seed=None, **parameters) -> dict:
@@ -168,7 +175,7 @@ def prob(alpha, model, k, semantics, p, fmt):
         coeffs = list(poly.coeffs)
         if fmt == "json":
             payload = {"meta": meta, "rows": [{"coeffs": coeffs}]}
-            click.echo(json.dumps(payload, indent=2))
+            _echo(json.dumps(payload, indent=2))
         else:
             rows = [{"degree": d, "coefficient": c} for d, c in enumerate(coeffs)]
             _emit(
@@ -307,7 +314,7 @@ def verify(ctx, check, n, samples, seed, fmt):
         payload = {"meta": meta, "rows": rows, "passed": report.passed}
         if report.findings is not None:
             payload["findings"] = {str(k): v for k, v in report.findings.items()}
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
         _emit(fmt, meta, ["label", "passed", "detail"], rows, text)
     if not report.passed:
@@ -452,6 +459,6 @@ def construct(n, t, a, fmt):
                 }
             ],
         }
-        click.echo(json.dumps(payload, indent=2))
+        _echo(json.dumps(payload, indent=2))
     else:
         _emit(fmt, meta, ["alpha", "numerator", "denominator"], [row], [alpha_text])

@@ -2,8 +2,11 @@
 
 Both randomized rules flip one coin per blocked car, so the probability that
 a fixed preference tuple parks is a sum, over the successful choice vectors,
-of monomials p^a (1-p)^b.  Expanding each monomial keeps everything in exact
-integer arithmetic; evaluation takes a Fraction and returns a Fraction.
+of monomials p^a (1-p)^b.  It is built one car at a time over graded states
+{mask: {(fwd, bwd): count}}, which merge every choice-vector prefix that
+fills the same spots, so the work follows the reachable masks, not the 2^(n-1)
+vectors.  Expanding each monomial keeps everything in exact integer
+arithmetic; evaluation takes a Fraction and returns a Fraction.
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from typing import Sequence
 
@@ -140,38 +143,71 @@ def _weight_poly(p_exp: int, q_exp: int) -> Poly:
     return Poly(tuple(out))
 
 
-def _success_branch_counts(prefs, backward_spot) -> dict[tuple[int, int], int]:
+def _pour(states: dict, mask: int, grades: dict, dfwd: int, dbwd: int) -> None:
+    """Add grades, shifted by (dfwd, dbwd) flips, to the state at mask."""
+    into = states.get(mask)
+    if into is None:
+        states[mask] = {(f + dfwd, b + dbwd): c for (f, b), c in grades.items()}
+        return
+    for (f, b), c in grades.items():
+        key = (f + dfwd, b + dbwd)
+        into[key] = into.get(key, 0) + c
+
+
+def _park_car(states: dict, letters, moves) -> dict:
+    """Graded transfer step: park one more car in every state.
+
+    ``states`` maps an occupancy mask to {(forward flips, backward flips):
+    count}.  The car prefers each spot in ``letters`` in turn and the results
+    are summed, so one spot advances one tuple and all n spots advance every
+    tuple at once.  A blocked car lands on the (forward, backward) spots
+    ``moves(occ, a)`` returns; 0 drops that branch.
+    """
+    new: dict = {}
+    for occ, grades in states.items():
+        for a in letters:
+            bit = 1 << (a - 1)
+            if not occ & bit:
+                _pour(new, occ | bit, grades, 0, 0)
+                continue
+            f, b = moves(occ, a)
+            if f:
+                _pour(new, occ | 1 << (f - 1), grades, 1, 0)
+            if b:
+                _pour(new, occ | 1 << (b - 1), grades, 0, 1)
+    return new
+
+
+def _park_all(cars, moves) -> dict:
+    """Graded states after parking every car; cars[i] lists car i's letters."""
+    states: dict = {0: {(0, 0): 1}}
+    for letters in cars:
+        states = _park_car(states, letters, moves)
+    return states
+
+
+def _direction_backward(free: int, a: int) -> int:
+    """Backward-only search of the random-direction rule; fails below spot 1."""
+    return _highest_free_upto(free, a - 1) if a > 1 else 0
+
+
+def _success_branch_counts(cars, backward_spot) -> dict[tuple[int, int], int]:
     """Count successful choice vectors by (forward flips, backward flips).
 
-    Walks the shared-prefix tree of choice vectors instead of replaying each
-    of the 2**(n-1) vectors separately: unconsulted bits never branch, so the
-    tree is much smaller than the hypercube whenever conflicts are scarce.
-    ``backward_spot(free, a)`` maps the blocked car's view to a landing spot
+    ``cars[i]`` lists the spots car i may prefer (see _park_car).  A blocked
+    car searches forward past its spot, or lands on ``backward_spot(free, a)``
     (0 = the branch fails).
     """
-    n = len(prefs)
-    full = (1 << n) - 1
-    counts: dict[tuple[int, int], int] = {}
+    full = (1 << len(cars)) - 1
 
-    def walk(i: int, occ: int, fwd: int, bwd: int) -> None:
-        if i == n:
-            key = (fwd, bwd)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        a = prefs[i]
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            walk(i + 1, occ | bit, fwd, bwd)
-            return
+    def moves(occ: int, a: int) -> tuple[int, int]:
         free = ~occ & full
-        s = _lowest_free_from(free, a + 1)
-        if s:
-            walk(i + 1, occ | 1 << (s - 1), fwd + 1, bwd)
-        s = backward_spot(free, a)
-        if s:
-            walk(i + 1, occ | 1 << (s - 1), fwd, bwd + 1)
+        return _lowest_free_from(free, a + 1), backward_spot(free, a)
 
-    walk(0, 0, 0, 0)
+    counts: dict[tuple[int, int], int] = {}
+    for grades in _park_all(cars, moves).values():
+        for key, c in grades.items():
+            counts[key] = counts.get(key, 0) + c
     return counts
 
 
@@ -192,13 +228,8 @@ def prob_random_direction(prefs: Sequence[int]) -> Poly:
     A blocked car searches forward with probability p and backward-only with
     probability 1-p; the backward search fails below spot 1.
     """
-    n = len(prefs)
-    check_preferences(prefs, n)
-
-    def backward(free: int, a: int) -> int:
-        return _highest_free_upto(free, a - 1) if a > 1 else 0
-
-    counts = _success_branch_counts(tuple(prefs), backward)
+    check_preferences(prefs, len(prefs))
+    counts = _success_branch_counts([(a,) for a in prefs], _direction_backward)
     return _branch_counts_to_poly(counts, p_is_backward=False)
 
 
@@ -217,11 +248,8 @@ def prob_random_naples(
     if k < 0:
         raise ValueError(f"backward allowance k must be >= 0, got {k}")
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-
-    def backward(free: int, a: int) -> int:
-        return _naples_branch_spot(free, a, k, firstfit)
-
-    counts = _success_branch_counts(tuple(prefs), backward)
+    backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
+    counts = _success_branch_counts([(a,) for a in prefs], backward)
     return _branch_counts_to_poly(counts, p_is_backward=True)
 
 
@@ -248,5 +276,6 @@ def parking_choice_count(
     n = len(prefs)
     poly = prob_random_naples(prefs, k=k, semantics=semantics)
     val = poly.evaluate(Fraction(1, 2)) * (1 << (n - 1))
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise RuntimeError(f"choice count of {tuple(prefs)} is not an integer: {val}")
     return val.numerator

@@ -65,13 +65,14 @@ def _parking_count_rec(n: int) -> int:
 def parking_count(n: int) -> int:
     """Number of classic parking functions of length n, (n+1)**(n-1).
 
-    The convolution recursion is evaluated too and asserted equal, so the
-    closed form and the recursion cross-check each other on every call.
+    The convolution recursion is evaluated too and must agree, so the closed
+    form and the recursion cross-check each other on every call.
     """
     _check_n(n)
     closed = (n + 1) ** (n - 1)
     recursed = _parking_count_rec(n)
-    assert recursed == closed, f"parking recursion disagrees at n={n}"
+    if recursed != closed:
+        raise RuntimeError(f"parking recursion disagrees at n={n}")
     return closed
 
 

@@ -2,9 +2,10 @@
 
 Everything here is written the slow, obvious way on purpose: plain list
 scans over the lot and full hypercube sums over coin outcomes. The
-library under test uses bitmask state, prefix-sharing tree walks, and
-dynamic programming, so agreement between the two routes is meaningful
-evidence rather than a tautology. Keep these functions dumb.
+library under test uses bitmask state and dynamic programming over
+occupancy masks, merging every coin prefix that fills the same spots, so
+agreement between the two routes is meaningful evidence rather than a
+tautology. Keep these functions dumb.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from parkmodel import (
     NaplesSemantics,
+    Poly,
     StaircaseShape,
     compare_naples_semantics,
     expected_random_naples,
@@ -16,6 +17,7 @@ from parkmodel import (
     naples_count,
     parking_choice_count,
     parking_count,
+    prob_random_direction,
     shape_of,
     staircase_choice_count,
     tuple_for_numerator,
@@ -25,8 +27,10 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
+from parkmodel.core import _naples_branch_spot
+from parkmodel.exact import _direction_backward, _success_branch_counts
 
-from oracles import all_tuples, naive_choice_count
+from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
@@ -251,6 +255,39 @@ class TestVerifiers:
         assert report.findings["firstfit"] == report.findings["recursion"]
         assert report.findings["firstfit"] == "727/4"
         assert report.findings["jump"] == "1487/8"
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_semantics_findings_match_hypercube_sum(self, n, k):
+        findings = compare_naples_semantics(n, k).findings
+        for semantics in NaplesSemantics:
+            firstfit = semantics is FIRSTFIT
+            want = sum(
+                naive_prob_at(t, HALF, "naples", k, firstfit) for t in all_tuples(n)
+            )
+            assert findings[semantics.value] == str(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_direction_total_is_the_sum_of_tuple_polynomials(self, n):
+        per_tuple = Poly.zero()
+        for t in all_tuples(n):
+            per_tuple = per_tuple + prob_random_direction(t)
+        assert f"got {per_tuple}," in verify_direction_total(n).checks[0].detail
+        for p in probe_points(n):
+            want = sum(naive_prob_at(t, p, "direction") for t in all_tuples(n))
+            assert per_tuple.evaluate(p) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_letter_step_sums_the_tuple_counts(self, n):
+        def jump2(free, a):
+            return _naples_branch_spot(free, a, 2, False)
+
+        for backward in (_direction_backward, jump2):
+            summed = Counter()
+            for t in all_tuples(n):
+                summed.update(_success_branch_counts([(a,) for a in t], backward))
+            every = [range(1, n + 1)] * n
+            assert _success_branch_counts(every, backward) == dict(summed)
 
     def test_verifier_domain_errors(self):
         with pytest.raises(ValueError):

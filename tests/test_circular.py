@@ -1,5 +1,6 @@
 """Ring parking with one spare spot, checked against cyclic list scans."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,16 @@ class TestEmptySpotDistribution:
             assert empty_spot_distribution(shifted) == empty_spot_distribution(
                 prefs
             ).rotated()
+
+    def test_thirty_cars_on_spot_one(self):
+        start = time.perf_counter()
+        dist = empty_spot_distribution((1,) * 30)
+        total = Poly.zero()
+        for q in dist.probs:
+            total = total + q
+        assert total == Poly.one()
+        assert dist.prob_for_spot(1) == Poly.zero()
+        assert time.perf_counter() - start < 1.0
 
     def test_rotating_full_circle_is_identity(self):
         dist = empty_spot_distribution((2, 2, 1))

@@ -1,9 +1,10 @@
 """Command-line contract: formats, flag handling, and exit codes."""
 
+import gc
 import json
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 
 from parkmodel.census import CheckResult, VerificationReport
 from parkmodel.cli import main
@@ -379,3 +380,17 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "parkmodel" in result.output
+
+
+def test_repeated_invocations_free_their_streams(runner):
+    """In-process calls must not pile up one cached stdout wrapper each."""
+
+    def live_wrappers():
+        gc.collect()
+        return sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+
+    before = live_wrappers()
+    for _ in range(200):
+        result = runner.invoke(main, ["prob", "--alpha", "1,2", "--model", "naples"])
+        assert result.exit_code == 0
+    assert live_wrappers() - before < 10

@@ -1,9 +1,13 @@
 """Deterministic parking walks checked against plain list-scan replays."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parkmodel
 from parkmodel import (
     NaplesSemantics,
     RandomModel,
@@ -211,3 +215,13 @@ def test_bit_scans_match_linear_scans(free, spot):
     down = [s for s in range(spot, 0, -1) if free >> (s - 1) & 1]
     assert _lowest_free_from(free, spot) == (up[0] if up else 0)
     assert _highest_free_upto(free, spot) == (down[0] if down else 0)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    """python -O strips assert statements, so the package must not rely on them."""
+    sources = sorted(Path(parkmodel.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name} has assert statements at lines {asserts}"

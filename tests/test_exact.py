@@ -1,5 +1,6 @@
 """Exact probability polynomials against full hypercube sums."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,32 @@ class TestChoiceCount:
         assert parking_choice_count((2, 2)) == 1
 
 
+class TestLongTuples:
+    """Closed forms at lengths whose 2^(n-1) choice vectors cannot be listed.
+
+    All cars on spot 1 fill the lot left to right: under Naples every
+    blocked car parks on either branch, and under direction each of the 59
+    blocked cars must flip forward.
+    """
+
+    def test_sixty_cars_on_spot_one(self):
+        start = time.perf_counter()
+        assert prob_random_naples((1,) * 60) == Poly.one()
+        assert prob_random_naples((1,) * 60, 3, FIRSTFIT) == Poly.one()
+        assert prob_random_direction((1,) * 60) == Poly((0,) * 59 + (1,))
+        assert parking_choice_count((1,) * 60) == 1 << 59
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_closed_forms_match_the_oracle_on_short_runs(self, n):
+        ones = (1,) * n
+        for p in probe_points(n):
+            assert naive_prob_at(ones, p, "naples") == 1
+            assert naive_prob_at(ones, p, "naples", 3, True) == 1
+            assert naive_prob_at(ones, p, "direction") == p ** (n - 1)
+            assert prob_random_direction(ones).evaluate(p) == p ** (n - 1)
+
+
 @st.composite
 def model_cases(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -187,7 +214,7 @@ def model_cases(draw):
 @given(model_cases())
 @settings(max_examples=150, deadline=None)
 def test_polynomial_matches_hypercube_sum(case):
-    """Dual route: tree-walk polynomial vs plain sum over all coin vectors.
+    """Dual route: occupancy-state polynomial vs plain sum over all coin vectors.
 
     Checking agreement at deg + 1 distinct rationals pins the polynomials
     down completely.
