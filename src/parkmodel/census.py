@@ -3,13 +3,16 @@
 The centerpiece is the distribution census: for every preference tuple,
 count the choice vectors under which it parks (k-Naples branch rule) and
 histogram those counts. Rather than replaying each of the 2^{n-1} choice
-vectors per tuple, the census walks the tuple space depth-first, sharing
-prefixes, and carries a weighted occupancy-state table: the weight of an
-occupancy mask is the number of choice-bit prefixes that produce it. A car
-whose preferred spot is free never consults its bit, so its step doubles
-every weight; a blocked car splits each state into its forward and backward
-branches, dropping the ones that fail. Car 1 has no bit at all, which is why
-the walk is seeded after it parks instead of starting from an empty lot.
+vectors per tuple, the census carries a weighted occupancy-state table: the
+weight of an occupancy mask is the number of choice-bit prefixes that
+produce it. A car whose preferred spot is free never consults its bit, so
+its step doubles every weight; a blocked car splits each state into its
+forward and backward branches, dropping the ones that fail. Car 1 has no
+bit at all. After d cars every mask has popcount d, so the tables of all
+n^d prefixes form one (n^d, C(n, d)) int64 matrix, and one product with a
+per-depth transfer matrix parks the next car under every letter at once
+(the transfer-matrix form of the occupancy discipline). Sweeps run one
+two-car prefix at a time, which bounds the largest matrix at n^(n-2) rows.
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -26,8 +29,11 @@ from itertools import product
 from random import Random
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     NaplesSemantics,
+    _check_int,
     _lowest_free_from,
     _naples_branch_spot,
     _parks,
@@ -99,98 +105,81 @@ class DistributionTable:
         return iter(enumerate(self.counts))
 
 
-def _transition_tables(n: int, k: int, semantics: NaplesSemantics):
-    """Per-letter maps from occupancy mask to post-move mask (-1 = the car fails).
+def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
+    """One int64 transfer matrix per depth d = 0..n-1.
 
-    Entries are only meaningful for masks in which the letter's own spot is
-    taken; the free case is handled inline by the walkers.
+    After d cars every surviving occupancy mask has popcount d, so depth d
+    has C(n, d) states, the masks of that popcount in ascending order.
+    Matrix d has shape (C(n, d), n * C(n, d+1)): column block a-1 moves car
+    d+1, preferring spot a, from each depth-d mask to the masks it can fill.
+    An entry counts the choice-bit values that make that move: 2 when spot a
+    is free (the bit is never consulted), else one for each of the forward
+    and backward branches that lands. Car 1 has no bit, so matrix 0 holds 1.
     """
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     full = (1 << n) - 1
-    fwd = [None]
-    bwd = [None]
-    for a in range(1, n + 1):
-        bit = 1 << (a - 1)
-        fa = [-1] * (full + 1)
-        ba = [-1] * (full + 1)
-        for mask in range(full + 1):
-            if not mask & bit:
-                continue
+    layers: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(full + 1):
+        layers[bin(mask).count("1")].append(mask)
+    rank = [0] * (full + 1)
+    for layer in layers:
+        for i, mask in enumerate(layer):
+            rank[mask] = i
+    mats = []
+    for d in range(n):
+        width = len(layers[d + 1])
+        mat = np.zeros((len(layers[d]), n * width), dtype=np.int64)
+        for i, mask in enumerate(layers[d]):
             free = ~mask & full
-            s = _lowest_free_from(free, a + 1)
-            if s:
-                fa[mask] = mask | (1 << (s - 1))
-            s = _naples_branch_spot(free, a, k, firstfit)
-            if s:
-                ba[mask] = mask | (1 << (s - 1))
-        fwd.append(fa)
-        bwd.append(ba)
-    return fwd, bwd
+            for a in range(1, n + 1):
+                col = (a - 1) * width
+                bit = 1 << (a - 1)
+                if free & bit:
+                    mat[i, col + rank[mask | bit]] = 2 if d else 1
+                    continue
+                for s in (
+                    _lowest_free_from(free, a + 1),
+                    _naples_branch_spot(free, a, k, firstfit),
+                ):
+                    if s:
+                        mat[i, col + rank[mask | 1 << (s - 1)]] += 1
+        mats.append(mat)
+    return mats
 
 
-def _advance(states: dict, a: int, fwd_a, bwd_a, bit_a: int) -> dict:
-    """One DP step: park the next car (preference a) in every weighted state."""
-    new: dict = {}
-    for mask, w in states.items():
-        if not mask & bit_a:
-            nm = mask | bit_a
-            new[nm] = new.get(nm, 0) + 2 * w
-        else:
-            f = fwd_a[mask]
-            if f >= 0:
-                new[f] = new.get(f, 0) + w
-            b = bwd_a[mask]
-            if b >= 0:
-                new[b] = new.get(b, 0) + w
-    return new
+def _choice_counts(mats: list, prefix: tuple[int, ...]) -> np.ndarray:
+    """Successful choice-vector counts of every tuple that extends prefix.
+
+    The result is an int64 array over the n^(n - len(prefix)) completions in
+    base-n order, the last car varying fastest. Row r of the depth-d state
+    matrix holds the weights of the r-th prefix of length d; one product
+    with the transfer matrix parks the next car for every letter at once.
+    Every weight is at most 2^(n-1), so int64 arithmetic is exact.
+    """
+    n = len(mats)
+    states = np.ones((1, 1), dtype=np.int64)
+    for mat, a in zip(mats, prefix):
+        width = mat.shape[1] // n
+        states = states @ mat[:, (a - 1) * width : a * width]
+    for mat in mats[len(prefix) :]:
+        states = (states @ mat).reshape(-1, mat.shape[1] // n)
+    return states.ravel()
 
 
-def _census_kernel(
-    n: int, k: int, semantics: NaplesSemantics, prefix: tuple[int, ...]
-) -> dict:
-    """Histogram of choice-vector counts over all tuples extending prefix."""
-    fwd, bwd = _transition_tables(n, k, semantics)
-    letters = range(1, n + 1)
-    hist: dict = {}
+def _prefixes(n: int) -> list[tuple[int, ...]]:
+    """The chunks a sweep is split into: all prefixes of its first two cars."""
+    return list(product(range(1, n + 1), repeat=min(n, 2)))
 
-    states = {1 << (prefix[0] - 1): 1}
-    for a in prefix[1:]:
-        states = _advance(states, a, fwd[a], bwd[a], 1 << (a - 1))
 
-    def rec(states: dict, depth: int) -> None:
-        if not states:
-            hist[0] = hist.get(0, 0) + n ** (n - depth)
-            return
-        if depth == n - 1:
-            items = list(states.items())
-            for a in letters:
-                bit_a = 1 << (a - 1)
-                fa = fwd[a]
-                ba = bwd[a]
-                g = 0
-                for mask, w in items:
-                    if not mask & bit_a:
-                        g += 2 * w
-                    else:
-                        if fa[mask] >= 0:
-                            g += w
-                        if ba[mask] >= 0:
-                            g += w
-                hist[g] = hist.get(g, 0) + 1
-            return
-        for a in letters:
-            rec(_advance(states, a, fwd[a], bwd[a], 1 << (a - 1)), depth + 1)
-
-    if not states:
-        hist[0] = n ** (n - len(prefix))
-    else:
-        rec(states, len(prefix))
+def _census_histogram(
+    n: int, k: int, semantics: NaplesSemantics, prefixes
+) -> np.ndarray:
+    """Histogram of choice counts over every tuple extending one of prefixes."""
+    mats = _transfer_matrices(n, k, semantics)
+    hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
+    for prefix in prefixes:
+        hist += np.bincount(_choice_counts(mats, prefix), minlength=len(hist))
     return hist
-
-
-def _census_worker(args) -> dict:
-    n, k, semantics_value, prefix = args
-    return _census_kernel(n, k, NaplesSemantics(semantics_value), prefix)
 
 
 def full_census(
@@ -203,16 +192,18 @@ def full_census(
     """Distribution of parking probabilities at p = 1/2 over all n^n tuples.
 
     n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) is allowed
-    with allow_large=True and takes a few seconds; larger n is refused.
-    The result is independent of the thread count; workers split the tuple
-    space by its first two digits and histograms merge by addition.
+    with allow_large=True and takes one to two seconds; larger n is refused.
+    The sweep runs the layered transfer kernel once per two-car prefix and
+    bincounts each prefix's choice counts, so the result is independent of
+    the thread count: workers take whole prefixes and the histograms add.
+
+    Self-checks raise RuntimeError: the total is n^n, and wherever the
+    counting recursion counts the rule (k = 1, or first-fit at any k) the
+    full and zero counts and the expectation must match it.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"car count n must be a positive integer, got {n!r}")
-    if k < 1:
-        raise ValueError(f"census needs k >= 1, got {k}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_int(n, "car count n", 1)
+    _check_int(k, "backward allowance k", 1)
+    _check_int(threads, "threads", 1)
     if n > CENSUS_HARD_MAX_N:
         raise ValueError(
             f"census at n={n} would sweep {n}^{n} = {n**n} tuples; "
@@ -224,37 +215,28 @@ def full_census(
             "pass allow_large=True to run it"
         )
 
-    hist: dict = {}
-    if n == 1:
-        hist[1] = 1
-    elif threads > 1 and n >= 4:
+    prefixes = _prefixes(n)
+    if threads > 1 and n >= 4:
+        # One task per first car's n prefixes, so the pool builds the
+        # transfer matrices n times in all, not once per prefix.
         tasks = [
-            (n, k, semantics.value, (a0, a1))
-            for a0 in range(1, n + 1)
-            for a1 in range(1, n + 1)
+            (n, k, semantics, prefixes[i : i + n]) for i in range(0, n * n, n)
         ]
         with multiprocessing.Pool(processes=threads) as pool:
-            for part in pool.map(_census_worker, tasks, chunksize=1):
-                for g, c in part.items():
-                    hist[g] = hist.get(g, 0) + c
+            hist = sum(pool.starmap(_census_histogram, tasks, chunksize=1))
     else:
-        for a0 in range(1, n + 1):
-            for g, c in _census_kernel(n, k, semantics, (a0,)).items():
-                hist[g] = hist.get(g, 0) + c
-
-    counts = [0] * ((1 << (n - 1)) + 1)
-    for g, c in hist.items():
-        counts[g] = c
-    table = DistributionTable(n=n, k=k, semantics=semantics, counts=tuple(counts))
+        hist = _census_histogram(n, k, semantics, prefixes)
+    counts = tuple(hist.tolist())
+    table = DistributionTable(n=n, k=k, semantics=semantics, counts=counts)
 
     if table.total() != n**n:
         raise RuntimeError(f"census total is not {n}^{n}")
-    if k == 1:
+    if k == 1 or semantics is NaplesSemantics.FIRST_FIT_BACKWARD:
         if table.counts[-1] != parking_count(n):
             raise RuntimeError("full-probability count mismatch")
-        if table.counts[0] != n**n - naples_count(n, 1):
+        if table.counts[0] != n**n - naples_count(n, k):
             raise RuntimeError("zero-probability count mismatch")
-        if table.expectation() != expected_random_naples(n, 1, Fraction(1, 2)):
+        if table.expectation() != expected_random_naples(n, k, Fraction(1, 2)):
             raise RuntimeError("census expectation disagrees with the recursion")
     return table
 
@@ -303,6 +285,16 @@ def is_staircase(prefs: Sequence[int]) -> bool:
     if len(prefs) < 2 or prefs[0] != prefs[1] or prefs[-1] != 2:
         return False
     return all(y in (x, x - 1) for x, y in zip(prefs[1:], prefs[2:]))
+
+
+def _staircase_mask(digits: np.ndarray) -> np.ndarray:
+    """is_staircase applied to each row of a 2-D array of tuples of length >= 2."""
+    steps = digits[:, 1:-1] - digits[:, 2:]
+    return (
+        (digits[:, 0] == digits[:, 1])
+        & (digits[:, -1] == 2)
+        & ((steps == 0) | (steps == 1)).all(axis=1)
+    )
 
 
 def shape_of(prefs: Sequence[int]) -> StaircaseShape:
@@ -425,48 +417,26 @@ def verify_odd_census(n: int) -> VerificationReport:
         raise ValueError(
             f"the exhaustive odd-count sweep supports 2 <= n <= {CENSUS_DEFAULT_MAX_N}, got {n}"
         )
-    fwd, bwd = _transition_tables(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
-    letters = range(1, n + 1)
+    mats = _transfer_matrices(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
+    # One row per tuple of a prefix chunk; the suffix columns are the same
+    # for every chunk, so only the two prefix columns are rewritten.
+    rows = n ** (n - 2)
+    digits = np.empty((rows, n), dtype=np.int8)
+    digits[:, 2:] = np.indices((n,) * (n - 2), dtype=np.int8).reshape(n - 2, rows).T
+    digits[:, 2:] += 1
 
-    parity_violations: list[tuple[int, ...]] = []
+    parity_violations = 0
     odd_map: dict[int, list[tuple[int, ...]]] = {}
     staircase_total = 0
-    digits: list[int] = [0] * n
-
-    def rec(states: dict, depth: int) -> None:
-        nonlocal staircase_total
-        if depth == n - 1:
-            head = tuple(digits[: n - 1])
-            items = list(states.items())
-            for a in letters:
-                bit_a = 1 << (a - 1)
-                fa = fwd[a]
-                ba = bwd[a]
-                g = 0
-                for mask, w in items:
-                    if not mask & bit_a:
-                        g += 2 * w
-                    else:
-                        if fa[mask] >= 0:
-                            g += w
-                        if ba[mask] >= 0:
-                            g += w
-                tup = head + (a,)
-                stair = is_staircase(tup)
-                if stair:
-                    staircase_total += 1
-                if (g & 1) != stair:
-                    parity_violations.append(tup)
-                if g & 1:
-                    odd_map.setdefault(g, []).append(tup)
-            return
-        for a in letters:
-            digits[depth] = a
-            rec(_advance(states, a, fwd[a], bwd[a], 1 << (a - 1)), depth + 1)
-
-    for a0 in letters:
-        digits[0] = a0
-        rec({1 << (a0 - 1): 1}, 1)
+    for prefix in _prefixes(n):
+        counts = _choice_counts(mats, prefix)
+        digits[:, :2] = prefix
+        stair = _staircase_mask(digits)
+        odd = (counts & 1).astype(bool)
+        parity_violations += int(np.count_nonzero(odd != stair))
+        staircase_total += int(np.count_nonzero(stair))
+        for i in np.flatnonzero(odd):
+            odd_map.setdefault(int(counts[i]), []).append(tuple(digits[i].tolist()))
 
     expected_odds = set(range(1, 1 << (n - 1), 2))
     bijection_ok = (
@@ -482,7 +452,7 @@ def verify_odd_census(n: int) -> VerificationReport:
         CheckResult(
             "odd count iff staircase",
             not parity_violations,
-            f"{n**n} tuples swept, {len(parity_violations)} violations",
+            f"{n**n} tuples swept, {parity_violations} violations",
         ),
         CheckResult(
             "odd numerators each hit once",
@@ -622,8 +592,7 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     """
     if not 1 <= n <= 6:
         raise ValueError(f"the semantics sweep supports 1 <= n <= 6, got {n}")
-    if k < 1:
-        raise ValueError(f"semantics comparison needs k >= 1, got {k}")
+    _check_int(k, "backward allowance k", 1)
     every = [range(1, n + 1)] * n
     sums = {}
     for semantics in NaplesSemantics:

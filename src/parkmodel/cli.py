@@ -32,7 +32,7 @@ from .census import (
     verify_sandwich,
 )
 from .circular import verify_circular
-from .core import NaplesSemantics, RandomModel
+from .core import NaplesSemantics, RandomModel, _check_int
 from .exact import prob_of_model
 from .montecarlo import estimate_expected_total, estimate_prob
 from .recursions import expected_random_naples, naples_count, parking_count
@@ -358,8 +358,7 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
     """Seeded simulation: one tuple's probability, or the expected total."""
     if (alpha is None) == (n is None):
         raise click.UsageError("pass exactly one of --alpha or --n")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_int(threads, "threads", 1)
     if alpha is not None:
         est = estimate_prob(
             alpha,

@@ -65,6 +65,14 @@ def check_preferences(prefs: Sequence[int], capacity: int) -> None:
             )
 
 
+def _check_int(value, name: str, minimum: int) -> None:
+    """Raise ValueError unless value is an int (bools excluded) >= minimum."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_choice_bits(beta: int, n: int) -> None:
     """Raise ValueError unless beta is a valid (n-1)-bit choice vector."""
     if not isinstance(beta, int) or isinstance(beta, bool):
@@ -152,8 +160,7 @@ def park_naples_det(
     """
     n = len(prefs)
     check_preferences(prefs, n)
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
+    _check_int(k, "backward allowance k", 0)
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     full = (1 << n) - 1
     occ = 0
@@ -188,8 +195,7 @@ def park_with_choices(
     n = len(prefs)
     check_preferences(prefs, n)
     check_choice_bits(beta, n)
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
+    _check_int(k, "backward allowance k", 0)
     naples = model is RandomModel.NAPLES
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     full = (1 << n) - 1
@@ -226,8 +232,7 @@ def parks_under_choices(
     n = len(prefs)
     check_preferences(prefs, n)
     check_choice_bits(beta, n)
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
+    _check_int(k, "backward allowance k", 0)
     return _parks(
         prefs,
         beta,

@@ -24,6 +24,7 @@ from typing import Sequence
 from .core import (
     NaplesSemantics,
     RandomModel,
+    _check_int,
     _naples_branch_spot,
     _highest_free_upto,
     _lowest_free_from,
@@ -245,8 +246,7 @@ def prob_random_naples(
     """
     n = len(prefs)
     check_preferences(prefs, n)
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
+    _check_int(k, "backward allowance k", 0)
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
     counts = _success_branch_counts([(a,) for a in prefs], backward)

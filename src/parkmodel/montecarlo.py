@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NaplesSemantics, RandomModel, _parks, check_preferences
+from .core import NaplesSemantics, RandomModel, _check_int, _parks, check_preferences
 from .recursions import as_fraction
 
 CHUNK_TRIALS = 1 << 15
@@ -43,11 +43,6 @@ class McEstimate:
     stderr: float
     trials: int
     seed: int
-
-
-def _check_seed(seed: int) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _threshold(p: Fraction) -> int:
@@ -71,9 +66,23 @@ def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
     return np.logical_not(event) if naples else event
 
 
-def _pack_masks(bits) -> list:
+def _pack_words(bits) -> np.ndarray:
     powers = np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64)
-    return (bits * powers).sum(axis=-1, dtype=np.uint64).tolist()
+    return (bits * powers).sum(axis=-1, dtype=np.uint64)
+
+
+def _pack_masks(bits) -> list:
+    """Each row of choice bits as an int bitmask (column j is bit j), as lists.
+
+    Up to 64 bits a row packs into one uint64. Wider rows, where uint64
+    would wrap, pack 64 columns at a time and join the words as Python ints.
+    """
+    if bits.shape[-1] <= 64:
+        return _pack_words(bits).tolist()
+    masks = np.zeros(bits.shape[:-1], dtype=object)
+    for lo in range(0, bits.shape[-1], 64):
+        masks |= _pack_words(bits[..., lo : lo + 64]).astype(object) << lo
+    return masks.tolist()
 
 
 def estimate_prob(
@@ -95,11 +104,9 @@ def estimate_prob(
     n = len(prefs)
     prefs = tuple(prefs)
     check_preferences(prefs, n)
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_seed(seed)
+    _check_int(k, "backward allowance k", 0)
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0)
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -161,15 +168,11 @@ def estimate_expected_total(
     Bernoulli and the stderr uses the exact binomial form; otherwise it
     falls back to the sample variance of the per-tuple frequencies.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"car count n must be a positive integer, got {n!r}")
-    if k < 0:
-        raise ValueError(f"backward allowance k must be >= 0, got {k}")
-    if tuple_samples < 1:
-        raise ValueError(f"tuple_samples must be >= 1, got {tuple_samples}")
-    if trials_per_tuple < 1:
-        raise ValueError(f"trials_per_tuple must be >= 1, got {trials_per_tuple}")
-    _check_seed(seed)
+    _check_int(n, "car count n", 1)
+    _check_int(k, "backward allowance k", 0)
+    _check_int(tuple_samples, "tuple_samples", 1)
+    _check_int(trials_per_tuple, "trials_per_tuple", 1)
+    _check_int(seed, "seed", 0)
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")

@@ -18,22 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .core import _check_int
+
 
 def _cluster_factor(m: int) -> int:
     """Ways m-1 cars fill m-1 spots forward-only on an m-spot window: m**(m-2)."""
     if m == 1:
         return 1
     return m ** (m - 2)
-
-
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"car count n must be a positive integer, got {n!r}")
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError(f"backward allowance k must be a nonnegative integer, got {k!r}")
 
 
 def as_fraction(p) -> Fraction:
@@ -68,7 +60,7 @@ def parking_count(n: int) -> int:
     The convolution recursion is evaluated too and must agree, so the closed
     form and the recursion cross-check each other on every call.
     """
-    _check_n(n)
+    _check_int(n, "car count n", 1)
     closed = (n + 1) ** (n - 1)
     recursed = _parking_count_rec(n)
     if recursed != closed:
@@ -91,8 +83,8 @@ def _naples_count_rec(n: int, k: int) -> int:
 
 def naples_count(n: int, k: int = 1) -> int:
     """Number of k-Naples parking functions of length n, by recursion."""
-    _check_n(n)
-    _check_k(k)
+    _check_int(n, "car count n", 1)
+    _check_int(k, "backward allowance k", 0)
     return _naples_count_rec(n, k)
 
 
@@ -115,8 +107,8 @@ def expected_random_naples(n: int, k: int, p) -> Fraction:
     Exact rational for exact rational p; p = 0 collapses to parking_count
     and p = 1 to naples_count.
     """
-    _check_n(n)
-    _check_k(k)
+    _check_int(n, "car count n", 1)
+    _check_int(k, "backward allowance k", 0)
     p = as_fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -130,5 +122,5 @@ def expected_random_direction(n: int) -> int:
     this takes no p argument; the polynomial identity behind that fact is
     checked tuple-by-tuple in census.verify_direction_total.
     """
-    _check_n(n)
+    _check_int(n, "car count n", 1)
     return (n + 1) ** (n - 1)

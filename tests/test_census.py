@@ -2,9 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
+import parkmodel.census as census
 from parkmodel import (
     NaplesSemantics,
     Poly,
@@ -27,6 +30,7 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
+from parkmodel.census import _choice_counts, _staircase_mask, _transfer_matrices
 from parkmodel.core import _naples_branch_spot
 from parkmodel.exact import _direction_backward, _success_branch_counts
 
@@ -92,12 +96,67 @@ class TestFullCensus:
         with pytest.raises(ValueError):
             full_census(3, threads=0)
 
+    def test_k_and_threads_must_be_plain_ints(self):
+        for bad in (True, 1.5, "2", None):
+            with pytest.raises(ValueError):
+                full_census(4, k=bad)
+            with pytest.raises(ValueError):
+                full_census(4, threads=bad)
+
+    @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
+    def test_two_workers_match_one(self, semantics):
+        one = full_census(6, 2, semantics, threads=1)
+        assert full_census(6, 2, semantics, threads=2) == one
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_firstfit_marginals_match_the_recursion(self, n, k):
+        table = full_census(n, k, FIRSTFIT)
+        assert table.count_for(table.denominator) == parking_count(n)
+        assert table.count_for(0) == n**n - naples_count(n, k)
+        assert table.expectation() == expected_random_naples(n, k, HALF)
+
+    def test_self_checks_run_for_firstfit_at_k_two(self, monkeypatch):
+        def shifted(n, k, semantics, prefixes):
+            hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
+            hist[1] = n**n  # right total, wrong everything else
+            return hist
+
+        monkeypatch.setattr(census, "_census_histogram", shifted)
+        with pytest.raises(RuntimeError):
+            full_census(4, 2, FIRSTFIT)
+        assert full_census(4, 2, JUMP).total() == 4**4
+
     @pytest.mark.slow
     def test_eight_car_census_when_unlocked(self):
         table = full_census(8, allow_large=True)
         assert table.total() == 8**8
         assert table.count_for(128) == parking_count(8)
         assert table.expectation() == expected_random_naples(8, 1, HALF)
+
+
+class TestTransferKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
+    def test_every_tuple_matches_the_hypercube_count(self, n, k, semantics):
+        counts = _choice_counts(_transfer_matrices(n, k, semantics), ())
+        firstfit = semantics is FIRSTFIT
+        expected = [naive_choice_count(t, k, firstfit) for t in all_tuples(n)]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("n", [2, 4, 5])
+    def test_prefix_chunks_tile_the_whole_sweep(self, n):
+        mats = _transfer_matrices(n, 2, FIRSTFIT)
+        chunks = [_choice_counts(mats, p) for p in product(range(1, n + 1), repeat=2)]
+        assert np.concatenate(chunks).tolist() == _choice_counts(mats, ()).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_staircase_mask_matches_is_staircase(self, n):
+        tuples = list(all_tuples(n))
+        digits = np.array(tuples, dtype=np.int8)
+        assert _staircase_mask(digits).tolist() == [is_staircase(t) for t in tuples]
 
 
 class TestStaircaseShapes:

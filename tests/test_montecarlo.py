@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import parkmodel.montecarlo as montecarlo
@@ -195,3 +196,34 @@ class TestValidation:
             estimate_prob((1, 1), RandomModel.NAPLES, k=-1)
         with pytest.raises(ValueError):
             estimate_expected_total(0, RandomModel.NAPLES)
+
+
+class TestMoreThan64Cars:
+    """Choice vectors wider than 64 bits must not wrap; bit j is car j + 2."""
+
+    @pytest.mark.parametrize("n", [64, 65, 66, 70])
+    def test_all_forward_always_parks(self, n):
+        prefs = (1,) * n
+        exact = prob_of_model(prefs, RandomModel.DIRECTION).evaluate(1)
+        est = estimate_prob(prefs, RandomModel.DIRECTION, p=1, trials=1_000, seed=SEED)
+        assert exact == 1
+        assert est.mean == exact
+
+    @pytest.mark.parametrize("n", [64, 65, 66, 70])
+    def test_last_car_draws_its_own_coin(self, n):
+        # Cars 1..n-1 fill spots 2..n; the last car, blocked at n, parks
+        # only by backing up to spot 1, so everything rides on bit n - 2.
+        prefs = tuple(range(2, n + 1)) + (n,)
+        exact = prob_of_model(prefs, RandomModel.DIRECTION).evaluate(HALF)
+        est = estimate_prob(prefs, RandomModel.DIRECTION, trials=4_000, seed=SEED)
+        assert exact == HALF
+        assert abs(est.mean - float(exact)) < 5 * est.stderr
+
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    def test_pack_matches_a_bit_by_bit_sum(self, width):
+        bits = np.random.default_rng(width).integers(0, 2, size=(3, 4, width)) == 1
+        expected = [
+            [sum(int(b) << j for j, b in enumerate(row)) for row in block]
+            for block in bits
+        ]
+        assert montecarlo._pack_masks(bits) == expected
