@@ -377,6 +377,7 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
         }
         meta = _meta(seed=seed, alpha=list(alpha), model=model, k=k,
                      semantics=semantics, p=_frac(p), trials=trials)
+        meta["stats"] = est.stats
         text = [
             f"mean = {est.mean}",
             f"stderr = {est.stderr}",
@@ -406,6 +407,7 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
         meta = _meta(seed=seed, n=n, model=model, k=k, semantics=semantics,
                      p=_frac(p), tuple_samples=tuple_samples,
                      trials_per_tuple=trials_per_tuple)
+        meta["stats"] = est.stats
         text = [
             f"mean parking probability = {est.mean}",
             f"stderr = {est.stderr}",
@@ -461,3 +463,7 @@ def construct(n, t, a, fmt):
         _echo(json.dumps(payload, indent=2))
     else:
         _emit(fmt, meta, ["alpha", "numerator", "denominator"], [row], [alpha_text])
+
+
+if __name__ == "__main__":
+    main(prog_name="parkmodel")

@@ -13,18 +13,22 @@ and off by under 2**-64 otherwise.
 The p-weighted event is the model's coin as the models define it: under the
 random-direction rule it is the forward branch, under the random Naples
 rule the backward branch.
+
+The trials of a chunk are replayed together by _parks_rows, one car at a
+time over a bool occupancy matrix. It agrees with core._parks on every
+(tuple, choice vector), so the estimates equal those of a per-trial replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .core import NaplesSemantics, RandomModel, _check_int, _parks, check_preferences
+from .core import NaplesSemantics, RandomModel, _check_int, check_preferences
 from .recursions import as_fraction
 
 CHUNK_TRIALS = 1 << 15
@@ -36,13 +40,18 @@ class McEstimate:
     """Empirical mean with its normal-approximation standard error.
 
     trials counts the independent observations behind mean: simulation runs
-    for estimate_prob, sampled tuples for estimate_expected_total.
+    for estimate_prob, sampled tuples for estimate_expected_total. stats
+    reports how the run was done and takes no part in equality: path
+    ("lookup" or "replay"), rng_chunks (Philox chunks drawn) and rows_walked
+    (choice rows replayed: the table's rows on the lookup path, one per
+    trial on the replay path).
     """
 
     mean: float
     stderr: float
     trials: int
     seed: int
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 def _threshold(p: Fraction) -> int:
@@ -67,22 +76,66 @@ def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
 
 
 def _pack_words(bits) -> np.ndarray:
+    """Each row of at most 64 choice bits as a uint64 (column j is bit j)."""
     powers = np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64)
     return (bits * powers).sum(axis=-1, dtype=np.uint64)
 
 
-def _pack_masks(bits) -> list:
-    """Each row of choice bits as an int bitmask (column j is bit j), as lists.
+def _first_true(cand: np.ndarray) -> np.ndarray:
+    """Column of each row's first True, or -1 where the row has none."""
+    col = cand.argmax(axis=1)
+    return np.where(cand[np.arange(len(cand)), col], col, -1)
 
-    Up to 64 bits a row packs into one uint64. Wider rows, where uint64
-    would wrap, pack 64 columns at a time and join the words as Python ints.
+
+def _last_true(cand: np.ndarray) -> np.ndarray:
+    """Column of each row's last True, or -1 where the row has none."""
+    col = _first_true(cand[:, ::-1])
+    return np.where(col >= 0, cand.shape[1] - 1 - col, -1)
+
+
+def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray:
+    """core._parks over R trials at once: True where every car of the row parks.
+
+    prefs is an (R, n) int array of 1-based preferences, bits the (R, n-1)
+    bool choice rows (column i-1 belongs to 0-based car i; True searches
+    forward only). All rows advance one car at a time over an (R, n) bool
+    occupancy matrix. A blocked row lands on the first free column past its
+    spot (forward branch) or on the column its backward branch reaches,
+    each found by a masked argmax; a row drops out at its first failed car.
+    Inputs unvalidated.
     """
-    if bits.shape[-1] <= 64:
-        return _pack_words(bits).tolist()
-    masks = np.zeros(bits.shape[:-1], dtype=object)
-    for lo in range(0, bits.shape[-1], 64):
-        masks |= _pack_words(bits[..., lo : lo + 64]).astype(object) << lo
-    return masks.tolist()
+    rows, n = prefs.shape
+    occ = np.zeros((rows, n), dtype=bool)
+    cols = np.arange(n)
+    live = np.arange(rows)
+    for i in range(n):
+        spot = prefs[live, i] - 1
+        blocked = occ[live, spot]
+        occ[live[~blocked], spot[~blocked]] = True
+        if not blocked.any():
+            continue
+        idx, a = live[blocked], spot[blocked]
+        free = ~occ[idx]
+        fwd = bits[idx, i - 1]
+        land = np.empty(len(idx), dtype=np.int64)
+        land[fwd] = _first_true(free[fwd] & (cols > a[fwd, None]))
+        back, b = ~fwd, a[~fwd, None]
+        if not naples:
+            land[back] = _last_true(free[back] & (cols < b))
+        elif not firstfit:
+            land[back] = _first_true(free[back] & (cols >= b - k))
+        else:
+            window = _last_true(free[back] & (cols >= b - k) & (cols < b))
+            past = _first_true(free[back] & (cols > b))
+            land[back] = np.where(window >= 0, window, past)
+        ok = land >= 0
+        occ[idx[ok], land[ok]] = True
+        keep = np.ones(len(live), dtype=bool)
+        keep[np.flatnonzero(blocked)[~ok]] = False
+        live = live[keep]
+    parked = np.zeros(rows, dtype=bool)
+    parked[live] = True
+    return parked
 
 
 def estimate_prob(
@@ -98,8 +151,9 @@ def estimate_prob(
 
     For small n every one of the 2**(n-1) choice vectors is replayed once
     into a lookup table and trials reduce to table reads; larger n replays
-    each trial's drawn vector directly. Both paths consume the same draws
-    and give bit-identical results.
+    each chunk's drawn rows in one vectorised walk (_parks_rows). Both
+    paths consume the same draws and give bit-identical results, equal to
+    a per-trial replay of each drawn vector.
     """
     n = len(prefs)
     prefs = tuple(prefs)
@@ -113,19 +167,15 @@ def estimate_prob(
 
     naples = model is RandomModel.NAPLES
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-    full = (1 << n) - 1
     nbits = n - 1
     thr = _threshold(p)
+    pref_row = np.array(prefs, dtype=np.int64)
 
     table = None
     if nbits <= _LOOKUP_MAX_BITS:
-        table = np.fromiter(
-            (
-                _parks(prefs, beta, naples, k, firstfit, full)
-                for beta in range(1 << nbits)
-            ),
-            dtype=bool,
-            count=1 << nbits,
+        every = (np.arange(1 << nbits)[:, None] >> np.arange(nbits) & 1).astype(bool)
+        table = _parks_rows(
+            np.broadcast_to(pref_row, (len(every), n)), every, naples, k, firstfit
         )
 
     successes = 0
@@ -135,19 +185,24 @@ def estimate_prob(
         rows = min(CHUNK_TRIALS, trials - done)
         gen = _generator(seed, chunk_index)
         bits = _event_bits(gen, (rows, nbits), thr, naples)
-        masks = _pack_masks(bits)
         if table is not None:
-            successes += int(table[masks].sum())
+            parked = table[_pack_words(bits)]
         else:
-            successes += sum(
-                _parks(prefs, m, naples, k, firstfit, full) for m in masks
+            parked = _parks_rows(
+                np.broadcast_to(pref_row, (rows, n)), bits, naples, k, firstfit
             )
+        successes += int(parked.sum())
         done += rows
         chunk_index += 1
 
     mean = successes / trials
     stderr = sqrt(mean * (1.0 - mean) / trials)
-    return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+    stats = {
+        "path": "replay" if table is None else "lookup",
+        "rng_chunks": chunk_index,
+        "rows_walked": trials if table is None else len(table),
+    }
+    return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, stats=stats)
 
 
 def estimate_expected_total(
@@ -179,7 +234,6 @@ def estimate_expected_total(
 
     naples = model is RandomModel.NAPLES
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-    full = (1 << n) - 1
     nbits = n - 1
     thr = _threshold(p)
 
@@ -190,17 +244,21 @@ def estimate_expected_total(
     while done < tuple_samples:
         rows = min(CHUNK_TRIALS, tuple_samples - done)
         gen = _generator(seed, chunk_index)
-        tuples = gen.integers(1, n + 1, size=(rows, n), dtype=np.int64).tolist()
+        tuples = gen.integers(1, n + 1, size=(rows, n), dtype=np.int64)
         bits = _event_bits(gen, (rows, trials_per_tuple, nbits), thr, naples)
-        masks = _pack_masks(bits)
-        for prefs, row in zip(tuples, masks):
-            prefs = tuple(prefs)
-            hits = sum(
-                _parks(prefs, m, naples, k, firstfit, full) for m in row
-            )
-            frac = hits / trials_per_tuple
-            total += frac
-            total_sq += frac * frac
+        parked = _parks_rows(
+            np.repeat(tuples, trials_per_tuple, axis=0),
+            bits.reshape(rows * trials_per_tuple, nbits),
+            naples,
+            k,
+            firstfit,
+        )
+        hits = parked.reshape(rows, trials_per_tuple).sum(axis=1)
+        frac = hits / trials_per_tuple
+        # Left-to-right running sums, as a per-tuple loop would add them;
+        # np.sum's pairwise order could change the last bits.
+        total = float(np.add.accumulate(np.append(total, frac))[-1])
+        total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
         done += rows
         chunk_index += 1
 
@@ -212,4 +270,11 @@ def estimate_expected_total(
         stderr = sqrt(max(var, 0.0) / tuple_samples)
     else:
         stderr = 0.0
-    return McEstimate(mean=mean, stderr=stderr, trials=tuple_samples, seed=seed)
+    stats = {
+        "path": "replay",
+        "rng_chunks": chunk_index,
+        "rows_walked": tuple_samples * trials_per_tuple,
+    }
+    return McEstimate(
+        mean=mean, stderr=stderr, trials=tuple_samples, seed=seed, stats=stats
+    )

@@ -2,10 +2,15 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
+import parkmodel
 from parkmodel.census import CheckResult, VerificationReport
 from parkmodel.cli import main
 
@@ -273,7 +278,25 @@ class TestMc:
              "--seed", "5"],
         )
         assert result.exit_code == 0
-        assert "mean = 1.0" in result.output
+        assert result.output == "mean = 1.0\nstderr = 0.0\ntrials = 200, seed = 5\n"
+
+    @pytest.mark.parametrize(
+        "args,stats",
+        [
+            (["--alpha", "2,2,2", "--trials", "40000"],
+             {"path": "lookup", "rng_chunks": 2, "rows_walked": 4}),
+            (["--alpha", ",".join(["1"] * 18), "--trials", "300"],
+             {"path": "replay", "rng_chunks": 1, "rows_walked": 300}),
+            (["--n", "3", "--tuple-samples", "500", "--trials-per-tuple", "2"],
+             {"path": "replay", "rng_chunks": 1, "rows_walked": 1000}),
+        ],
+    )
+    def test_json_meta_reports_run_stats(self, runner, args, stats):
+        result = runner.invoke(
+            main, ["mc", *args, "--model", "naples", "--format", "json"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["meta"]["stats"] == stats
 
     def test_fixed_tuple_json(self, runner):
         result = runner.invoke(
@@ -394,3 +417,15 @@ def test_repeated_invocations_free_their_streams(runner):
         result = runner.invoke(main, ["prob", "--alpha", "1,2", "--model", "naples"])
         assert result.exit_code == 0
     assert live_wrappers() - before < 10
+
+
+@pytest.mark.parametrize("module", ["parkmodel", "parkmodel.cli"])
+def test_python_dash_m_runs_the_cli(runner, module):
+    args = ["census", "--n", "4", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == runner.invoke(main, args).output

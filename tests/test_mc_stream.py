@@ -1,0 +1,65 @@
+"""Pinned seeded Monte Carlo stream: exact McEstimate values for a fixed grid.
+
+The values in mc_seeded_stream.json were recorded from the per-trial Python
+replay (one core._parks walk per trial). Draws, chunking and thresholds fix
+every estimate, so any replay kernel must reproduce them bit for bit. The
+grid covers the lookup-table path (3 and 12 cars), the replay path (18, 30,
+66 and 70 cars, the last two wider than one uint64 of choice bits), runs
+that cross a chunk boundary (40,000 trials or samples), and multi-trial
+tuples, whose per-tuple float sums depend on summation order.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from parkmodel import (
+    McEstimate,
+    NaplesSemantics,
+    RandomModel,
+    estimate_expected_total,
+    estimate_prob,
+)
+
+DATA = json.loads((Path(__file__).with_name("mc_seeded_stream.json")).read_text())
+SEED = DATA["seed"]
+
+
+def _case_id(case: dict) -> str:
+    return "-".join(
+        str(case[key])
+        for key in ("n", "model", "k", "semantics", "p", "trials_per_tuple")
+        if key in case
+    ).replace("/", "_")
+
+
+@pytest.mark.parametrize("case", DATA["estimate_prob"], ids=_case_id)
+def test_estimate_prob_stream(case):
+    est = estimate_prob(
+        DATA["tuples"][str(case["n"])],
+        RandomModel(case["model"]),
+        case["k"],
+        NaplesSemantics(case["semantics"]),
+        p=Fraction(case["p"]),
+        trials=case["trials"],
+        seed=SEED,
+    )
+    assert est == McEstimate(case["mean"], case["stderr"], case["trials"], SEED)
+
+
+@pytest.mark.parametrize("case", DATA["estimate_expected_total"], ids=_case_id)
+def test_estimate_expected_total_stream(case):
+    est = estimate_expected_total(
+        case["n"],
+        RandomModel(case["model"]),
+        case["k"],
+        NaplesSemantics(case["semantics"]),
+        p=Fraction(case["p"]),
+        tuple_samples=case["tuple_samples"],
+        trials_per_tuple=case["trials_per_tuple"],
+        seed=SEED,
+    )
+    expected = McEstimate(case["mean"], case["stderr"], case["tuple_samples"], SEED)
+    assert est == expected

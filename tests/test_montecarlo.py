@@ -1,9 +1,12 @@
 """Seeded simulation: reproducibility, degenerate exactness, calibration."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parkmodel.montecarlo as montecarlo
 from parkmodel import (
@@ -17,11 +20,59 @@ from parkmodel import (
     parks_under_choices,
     prob_of_model,
 )
+from parkmodel.core import _parks
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
 HALF = Fraction(1, 2)
 SEED = 20260815
+
+
+@st.composite
+def walker_cases(draw):
+    """Rows of one width up to 130 cars, choice bits, (naples, k, firstfit)."""
+    n = draw(st.integers(min_value=1, max_value=130))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    prefs = []
+    for _ in range(rows):
+        # A permutation with a few cars redirected runs deep before failing.
+        row = draw(st.permutations(range(1, n + 1)))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            row[i] = draw(st.integers(1, n))
+        prefs.append(row)
+    bits = [[draw(st.booleans()) for _ in range(n - 1)] for _ in range(rows)]
+    config = (draw(st.booleans()), draw(st.integers(0, 3)), draw(st.booleans()))
+    return np.array(prefs), np.array(bits, dtype=bool).reshape(rows, n - 1), config
+
+
+# (naples, k, firstfit): the direction model ignores k and the semantics.
+WALKER_CONFIGS = [(False, 1, False)] + [
+    (True, k, firstfit) for k in range(4) for firstfit in (False, True)
+]
+
+
+def _mostly_distinct(rng, n):
+    """A shuffled 1..n; every seventh car prefers the spot below its predecessor's."""
+    prefs = rng.permutation(n) + 1
+    prefs[6::7] = np.maximum(prefs[5::7][: len(prefs[6::7])] - 1, 1)
+    return prefs
+
+
+def _beta(row) -> int:
+    return sum(1 << j for j, b in enumerate(row.tolist()) if b)
+
+
+def _assert_walker_matches_parks(prefs, bits, configs=None):
+    """_parks_rows equals core._parks row by row under each config; returns the last."""
+    n = prefs.shape[1]
+    full = (1 << n) - 1
+    betas = [_beta(row) for row in bits]
+    rows = [tuple(row) for row in prefs.tolist()]
+    for naples, k, firstfit in configs or WALKER_CONFIGS:
+        got = montecarlo._parks_rows(prefs, bits, naples, k, firstfit)
+        want = [_parks(t, b, naples, k, firstfit, full) for t, b in zip(rows, betas)]
+        assert got.tolist() == want, (naples, k, firstfit)
+    return got
 
 
 class TestReproducibility:
@@ -219,11 +270,35 @@ class TestMoreThan64Cars:
         assert exact == HALF
         assert abs(est.mean - float(exact)) < 5 * est.stderr
 
-    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("width", [0, 1, 63, 64])
     def test_pack_matches_a_bit_by_bit_sum(self, width):
         bits = np.random.default_rng(width).integers(0, 2, size=(3, 4, width)) == 1
         expected = [
             [sum(int(b) << j for j, b in enumerate(row)) for row in block]
             for block in bits
         ]
-        assert montecarlo._pack_masks(bits) == expected
+        assert montecarlo._pack_words(bits).tolist() == expected
+
+    @pytest.mark.parametrize("n", [65, 130])
+    def test_walker_matches_parks_beyond_64_cars(self, n):
+        rng = np.random.default_rng(n)
+        prefs = np.array([_mostly_distinct(rng, n) for _ in range(200)])
+        bits = rng.random((200, n - 1)) < 0.9
+        parked = _assert_walker_matches_parks(prefs, bits)
+        assert 0 < parked.sum() < len(parked)
+
+
+class TestWalker:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_parks_on_every_tuple_and_choice_vector(self, n):
+        tuples = np.array(list(product(range(1, n + 1), repeat=n)))
+        choices = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1 == 1
+        prefs = np.repeat(tuples, len(choices), axis=0)
+        bits = np.tile(choices, (len(tuples), 1))
+        _assert_walker_matches_parks(prefs, bits)
+
+    @given(walker_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_parks_on_random_rows(self, case):
+        prefs, bits, config = case
+        _assert_walker_matches_parks(prefs, bits, [config])
