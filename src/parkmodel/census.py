@@ -204,6 +204,7 @@ def full_census(
     _check_int(n, "car count n", 1)
     _check_int(k, "backward allowance k", 1)
     _check_int(threads, "threads", 1)
+    semantics = NaplesSemantics(semantics)
     if n > CENSUS_HARD_MAX_N:
         raise ValueError(
             f"census at n={n} would sweep {n}^{n} = {n**n} tuples; "

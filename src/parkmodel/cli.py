@@ -32,7 +32,6 @@ from .census import (
     verify_sandwich,
 )
 from .circular import verify_circular
-from .core import NaplesSemantics, RandomModel, _check_int
 from .exact import prob_of_model
 from .montecarlo import estimate_expected_total, estimate_prob
 from .recursions import expected_random_naples, naples_count, parking_count
@@ -80,13 +79,6 @@ class AlphaType(click.ParamType):
 
 RATIONAL = RationalType()
 ALPHA = AlphaType()
-
-_MODEL = {"direction": RandomModel.DIRECTION, "naples": RandomModel.NAPLES}
-_SEMANTICS = {
-    "jump": NaplesSemantics.JUMP_BACK_THEN_FORWARD,
-    "firstfit": NaplesSemantics.FIRST_FIT_BACKWARD,
-}
-
 
 def _domain_errors(f):
     """Map library input errors to exit code 1, leaving flag errors at 2."""
@@ -167,7 +159,7 @@ def main():
 @_domain_errors
 def prob(alpha, model, k, semantics, p, fmt):
     """Exact parking probability of one tuple, as a polynomial or a rational."""
-    poly = prob_of_model(alpha, _MODEL[model], k=k, semantics=_SEMANTICS[semantics])
+    poly = prob_of_model(alpha, model, k=k, semantics=semantics)
     alpha_text = ",".join(str(a) for a in alpha)
     meta = _meta(alpha=list(alpha), model=model, k=k, semantics=semantics,
                  p=_frac(p) if p is not None else None)
@@ -257,7 +249,7 @@ def table(n_max, k, p, fmt):
 def census(n, k, semantics, threads, allow_large, fmt):
     """Histogram of parking probabilities at p = 1/2 over all n^n tuples."""
     result = full_census(
-        n, k=k, semantics=_SEMANTICS[semantics], threads=threads, allow_large=allow_large
+        n, k=k, semantics=semantics, threads=threads, allow_large=allow_large
     )
     rows = [
         {"numerator": a, "denominator": result.denominator, "count": c}
@@ -343,28 +335,19 @@ def verify(ctx, check, n, samples, seed, fmt):
               help="Sampled tuples (expected-total mode).")
 @click.option("--trials-per-tuple", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    show_default=True,
-    envvar="PARKMODEL_THREADS",
-    help="Accepted for symmetry; chunked streams make results thread-count independent.",
-)
 @format_option
 @_domain_errors
 def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple,
-       seed, threads, fmt):
+       seed, fmt):
     """Seeded simulation: one tuple's probability, or the expected total."""
     if (alpha is None) == (n is None):
         raise click.UsageError("pass exactly one of --alpha or --n")
-    _check_int(threads, "threads", 1)
     if alpha is not None:
         est = estimate_prob(
             alpha,
-            _MODEL[model],
+            model,
             k=k,
-            semantics=_SEMANTICS[semantics],
+            semantics=semantics,
             p=p,
             trials=trials,
             seed=seed,
@@ -387,9 +370,9 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
     else:
         est = estimate_expected_total(
             n,
-            _MODEL[model],
+            model,
             k=k,
-            semantics=_SEMANTICS[semantics],
+            semantics=semantics,
             p=p,
             tuple_samples=tuple_samples,
             trials_per_tuple=trials_per_tuple,

@@ -25,14 +25,22 @@ from typing import Optional, Sequence
 
 
 class NaplesSemantics(Enum):
-    """How a blocked Naples car spends its backward allowance of k spots."""
+    """How a blocked Naples car spends its backward allowance of k spots.
+
+    Public entry points take a member or its value ("jump", "firstfit")
+    and coerce it with NaplesSemantics(...); anything else is a ValueError.
+    """
 
     JUMP_BACK_THEN_FORWARD = "jump"
     FIRST_FIT_BACKWARD = "firstfit"
 
 
 class RandomModel(Enum):
-    """Which randomized rule a decision bit stands in for."""
+    """Which randomized rule a decision bit stands in for.
+
+    Accepted as a member or its value ("direction", "naples"), like
+    NaplesSemantics.
+    """
 
     DIRECTION = "direction"
     NAPLES = "naples"
@@ -161,7 +169,7 @@ def park_naples_det(
     n = len(prefs)
     check_preferences(prefs, n)
     _check_int(k, "backward allowance k", 0)
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
     full = (1 << n) - 1
     occ = 0
     spots = []
@@ -196,8 +204,8 @@ def park_with_choices(
     check_preferences(prefs, n)
     check_choice_bits(beta, n)
     _check_int(k, "backward allowance k", 0)
-    naples = model is RandomModel.NAPLES
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
     full = (1 << n) - 1
     occ = 0
     spots = []
@@ -236,8 +244,8 @@ def parks_under_choices(
     return _parks(
         prefs,
         beta,
-        model is RandomModel.NAPLES,
+        RandomModel(model) is RandomModel.NAPLES,
         k,
-        semantics is NaplesSemantics.FIRST_FIT_BACKWARD,
+        NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD,
         (1 << n) - 1,
     )

@@ -247,7 +247,7 @@ def prob_random_naples(
     n = len(prefs)
     check_preferences(prefs, n)
     _check_int(k, "backward allowance k", 0)
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
     backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
     counts = _success_branch_counts([(a,) for a in prefs], backward)
     return _branch_counts_to_poly(counts, p_is_backward=True)
@@ -259,7 +259,9 @@ def prob_of_model(
     k: int = 1,
     semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
 ) -> Poly:
-    if model is RandomModel.DIRECTION:
+    """Exact parking probability under model (a member or its value)."""
+    semantics = NaplesSemantics(semantics)
+    if RandomModel(model) is RandomModel.DIRECTION:
         return prob_random_direction(prefs)
     return prob_random_naples(prefs, k=k, semantics=semantics)
 

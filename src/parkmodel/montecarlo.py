@@ -14,9 +14,17 @@ The p-weighted event is the model's coin as the models define it: under the
 random-direction rule it is the forward branch, under the random Naples
 rule the backward branch.
 
-The trials of a chunk are replayed together by _parks_rows, one car at a
-time over a bool occupancy matrix. It agrees with core._parks on every
-(tuple, choice vector), so the estimates equal those of a per-trial replay.
+Trials are walked through an occupancy automaton built once per call
+(_automaton). A breadth-first search from the empty lot, one car at a time,
+keeps the distinct occupancy masks reachable after each car, and gives the
+car a flat int32 table from (state, preferred spot, choice bit) to the next
+state; a dead state holds the runs that have failed. Every trial of a chunk
+then costs one gather per car (_walk). When the automaton would hold more
+cells than one chunk's walk touches row-car cells (totals at large n,
+pathological tuples), the search stops and each chunk is replayed by
+_parks_rows over a bool occupancy matrix instead. Both land a blocked car
+by _land, the rule of core._parks, so the estimates equal those of a
+per-trial replay.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .core import NaplesSemantics, RandomModel, _check_int, check_preferences
 from .recursions import as_fraction
 
 CHUNK_TRIALS = 1 << 15
-_LOOKUP_MAX_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,9 @@ class McEstimate:
     trials counts the independent observations behind mean: simulation runs
     for estimate_prob, sampled tuples for estimate_expected_total. stats
     reports how the run was done and takes no part in equality: path
-    ("lookup" or "replay"), rng_chunks (Philox chunks drawn) and rows_walked
-    (choice rows replayed: the table's rows on the lookup path, one per
-    trial on the replay path).
+    ("automaton" or "replay"), rng_chunks (Philox chunks drawn), rows_walked
+    (choice rows walked, one per trial) and states_peak (the widest layer of
+    the automaton, 0 on the replay path).
     """
 
     mean: float
@@ -66,19 +73,10 @@ def _generator(seed: int, chunk_index: int) -> np.random.Generator:
 def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
     """Boolean array of choice bits; bit 1 is always the forward-only branch."""
     draws = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-    if thr <= 0:
-        event = np.zeros(shape, dtype=bool)
-    elif thr >= 1 << 64:
-        event = np.ones(shape, dtype=bool)
-    else:
-        event = draws < np.uint64(thr)
-    return np.logical_not(event) if naples else event
-
-
-def _pack_words(bits) -> np.ndarray:
-    """Each row of at most 64 choice bits as a uint64 (column j is bit j)."""
-    powers = np.uint64(1) << np.arange(bits.shape[-1], dtype=np.uint64)
-    return (bits * powers).sum(axis=-1, dtype=np.uint64)
+    if thr <= 0 or thr >= 1 << 64:
+        return np.full(shape, (thr > 0) != naples)
+    # One comparison, so only one bool array sits beside the draws.
+    return draws >= np.uint64(thr) if naples else draws < np.uint64(thr)
 
 
 def _first_true(cand: np.ndarray) -> np.ndarray:
@@ -93,20 +91,43 @@ def _last_true(cand: np.ndarray) -> np.ndarray:
     return np.where(col >= 0, cand.shape[1] - 1 - col, -1)
 
 
+def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
+    """Column each blocked car lands on, or -1 where it fails (core._parks's rule).
+
+    occ is the (B, n) bool occupancy of B rows whose car found its 0-based
+    spot a taken; fwd is True where the car searches forward only. The
+    forward branch takes the first free column past a. The backward branch
+    takes the last free column below a (direction), the first free column
+    from a - k (Naples jump), or the last free column in the k-window below
+    a, else the first past it (Naples firstfit). Each is a masked argmax.
+    """
+    free = ~occ
+    cols = np.arange(occ.shape[1])
+    land = np.empty(len(a), dtype=np.int64)
+    land[fwd] = _first_true(free[fwd] & (cols > a[fwd, None]))
+    back, b = ~fwd, a[~fwd, None]
+    if not naples:
+        land[back] = _last_true(free[back] & (cols < b))
+    elif not firstfit:
+        land[back] = _first_true(free[back] & (cols >= b - k))
+    else:
+        window = _last_true(free[back] & (cols >= b - k) & (cols < b))
+        past = _first_true(free[back] & (cols > b))
+        land[back] = np.where(window >= 0, window, past)
+    return land
+
+
 def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray:
     """core._parks over R trials at once: True where every car of the row parks.
 
     prefs is an (R, n) int array of 1-based preferences, bits the (R, n-1)
     bool choice rows (column i-1 belongs to 0-based car i; True searches
     forward only). All rows advance one car at a time over an (R, n) bool
-    occupancy matrix. A blocked row lands on the first free column past its
-    spot (forward branch) or on the column its backward branch reaches,
-    each found by a masked argmax; a row drops out at its first failed car.
-    Inputs unvalidated.
+    occupancy matrix; a blocked row lands by _land, and a row drops out at
+    its first failed car. Inputs unvalidated.
     """
     rows, n = prefs.shape
     occ = np.zeros((rows, n), dtype=bool)
-    cols = np.arange(n)
     live = np.arange(rows)
     for i in range(n):
         spot = prefs[live, i] - 1
@@ -114,20 +135,8 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
         occ[live[~blocked], spot[~blocked]] = True
         if not blocked.any():
             continue
-        idx, a = live[blocked], spot[blocked]
-        free = ~occ[idx]
-        fwd = bits[idx, i - 1]
-        land = np.empty(len(idx), dtype=np.int64)
-        land[fwd] = _first_true(free[fwd] & (cols > a[fwd, None]))
-        back, b = ~fwd, a[~fwd, None]
-        if not naples:
-            land[back] = _last_true(free[back] & (cols < b))
-        elif not firstfit:
-            land[back] = _first_true(free[back] & (cols >= b - k))
-        else:
-            window = _last_true(free[back] & (cols >= b - k) & (cols < b))
-            past = _first_true(free[back] & (cols > b))
-            land[back] = np.where(window >= 0, window, past)
+        idx = live[blocked]
+        land = _land(occ[idx], spot[blocked], bits[idx, i - 1], naples, k, firstfit)
         ok = land >= 0
         occ[idx[ok], land[ok]] = True
         keep = np.ones(len(live), dtype=bool)
@@ -136,6 +145,92 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
     parked = np.zeros(rows, dtype=bool)
     parked[live] = True
     return parked
+
+
+@dataclass(frozen=True)
+class _Automaton:
+    """Transition tables over the occupancy masks reachable after each car.
+
+    Rows start in state 0, the empty lot; steps lists (car i, table) for
+    each car whose table is walked, and a row ends in dead iff one of its
+    cars failed.
+    """
+
+    steps: list
+    dead: int
+    states_peak: int
+
+
+def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int):
+    """The occupancy automaton of n cars, or None past budget table cells.
+
+    prefs is the fixed tuple, or None when every car may prefer every spot.
+    Layer i holds the distinct masks reachable after i cars, plus a dead
+    state. Car i may prefer m spots (1 or n); its table maps
+    state * 2m + 2j + b to the next layer's state, where j indexes the spot
+    and b is the choice bit. With every spot, j is the 1-based preference:
+    the table then starts with two pad cells. A fixed car whose spot is free
+    in every reachable state consults no bit and keeps every state's index,
+    so it needs no table.
+    """
+    masks = np.zeros((1, n), dtype=bool)
+    steps, cells, peak = [], 0, 1
+    for i in range(n):
+        spots = np.arange(n) if prefs is None else np.array([prefs[i] - 1])
+        m = len(spots)
+        if m == 1 and not masks[:, spots[0]].any():
+            masks[:, spots[0]] = True
+            continue
+        cells += (len(masks) + 1) * 2 * m
+        if cells > budget:
+            return None
+        # Candidate row (s * m + j) * 2 + b: state s, spot j, bit b.
+        occ = np.repeat(masks, 2 * m, axis=0)
+        a = np.tile(np.repeat(spots, 2), len(masks))
+        rows = np.arange(len(a))
+        blocked = occ[rows, a]
+        land = a.copy()
+        fwd = rows[blocked] % 2 == 1
+        land[blocked] = _land(occ[blocked], a[blocked], fwd, naples, k, firstfit)
+        rows = rows[land >= 0]
+        occ[rows, land[rows]] = True
+        packed = np.packbits(occ[rows], axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        masks = occ[rows[first]]
+        peak = max(peak, len(masks))
+        table = np.full(len(occ) + 2 * m, len(masks), dtype=np.int32)
+        table[rows] = inverse
+        steps.append((i, np.pad(table, (2, 0)) if prefs is None else table))
+    return _Automaton(steps, len(masks), peak)
+
+
+def _walk(auto: _Automaton, prefs, bits) -> np.ndarray:
+    """True where a row parks: one gather per walked car.
+
+    bits holds the choice rows (last axis, column i-1 for car i); prefs is
+    None for a fixed tuple, else the 1-based preferences (last axis) of
+    rows broadcasting against bits' leading axes. Indices stay int32.
+    """
+    state = np.zeros(bits.shape[:-1], dtype=np.int32)
+    for i, table in auto.steps:
+        if prefs is not None:
+            state *= prefs.shape[-1]
+            state += prefs[..., i]
+        state <<= 1
+        if i:
+            state += bits[..., i - 1]
+        state = table[state]
+    return state != auto.dead
+
+
+def _stats(auto, rng_chunks: int, rows_walked: int) -> dict:
+    return {
+        "path": "replay" if auto is None else "automaton",
+        "rng_chunks": rng_chunks,
+        "rows_walked": rows_walked,
+        "states_peak": 0 if auto is None else auto.states_peak,
+    }
 
 
 def estimate_prob(
@@ -149,15 +244,19 @@ def estimate_prob(
 ) -> McEstimate:
     """Empirical parking frequency of one preference tuple.
 
-    For small n every one of the 2**(n-1) choice vectors is replayed once
-    into a lookup table and trials reduce to table reads; larger n replays
-    each chunk's drawn rows in one vectorised walk (_parks_rows). Both
-    paths consume the same draws and give bit-identical results, equal to
-    a per-trial replay of each drawn vector.
+    The tuple's occupancy automaton is built once, over both choice bits of
+    every blocked car, and every drawn choice row is walked through it, one
+    gather per car that may be blocked. A tuple whose automaton would hold
+    more table cells than a chunk's R x n row-car cells is replayed chunk by
+    chunk in one vectorised walk (_parks_rows) instead. Both paths consume
+    the same draws and give bit-identical results, equal to a per-trial
+    replay of each drawn vector.
     """
     n = len(prefs)
     prefs = tuple(prefs)
     check_preferences(prefs, n)
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
     _check_int(k, "backward allowance k", 0)
     _check_int(trials, "trials", 1)
     _check_int(seed, "seed", 0)
@@ -165,18 +264,9 @@ def estimate_prob(
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    naples = model is RandomModel.NAPLES
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     nbits = n - 1
     thr = _threshold(p)
-    pref_row = np.array(prefs, dtype=np.int64)
-
-    table = None
-    if nbits <= _LOOKUP_MAX_BITS:
-        every = (np.arange(1 << nbits)[:, None] >> np.arange(nbits) & 1).astype(bool)
-        table = _parks_rows(
-            np.broadcast_to(pref_row, (len(every), n)), every, naples, k, firstfit
-        )
+    auto = _automaton(prefs, n, naples, k, firstfit, min(CHUNK_TRIALS, trials) * n)
 
     successes = 0
     done = 0
@@ -185,11 +275,11 @@ def estimate_prob(
         rows = min(CHUNK_TRIALS, trials - done)
         gen = _generator(seed, chunk_index)
         bits = _event_bits(gen, (rows, nbits), thr, naples)
-        if table is not None:
-            parked = table[_pack_words(bits)]
+        if auto is not None:
+            parked = _walk(auto, None, bits)
         else:
             parked = _parks_rows(
-                np.broadcast_to(pref_row, (rows, n)), bits, naples, k, firstfit
+                np.broadcast_to(np.array(prefs), (rows, n)), bits, naples, k, firstfit
             )
         successes += int(parked.sum())
         done += rows
@@ -197,11 +287,7 @@ def estimate_prob(
 
     mean = successes / trials
     stderr = sqrt(mean * (1.0 - mean) / trials)
-    stats = {
-        "path": "replay" if table is None else "lookup",
-        "rng_chunks": chunk_index,
-        "rows_walked": trials if table is None else len(table),
-    }
+    stats = _stats(auto, chunk_index, trials)
     return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, stats=stats)
 
 
@@ -219,11 +305,15 @@ def estimate_expected_total(
 
     Scaling mean by n**n estimates the expected number of tuples that park.
     Each chunk draws its tuples first, then its branch bits, from the same
-    chunk-keyed stream. With one trial per tuple the observations are
-    Bernoulli and the stderr uses the exact binomial form; otherwise it
-    falls back to the sample variance of the per-tuple frequencies.
+    chunk-keyed stream, and walks them through the all-spot automaton (or
+    replays them when that is too large, as in estimate_prob). With one
+    trial per tuple the observations are Bernoulli and the stderr uses the
+    exact binomial form; otherwise it falls back to the sample variance of
+    the per-tuple frequencies.
     """
     _check_int(n, "car count n", 1)
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
     _check_int(k, "backward allowance k", 0)
     _check_int(tuple_samples, "tuple_samples", 1)
     _check_int(trials_per_tuple, "trials_per_tuple", 1)
@@ -232,10 +322,10 @@ def estimate_expected_total(
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    naples = model is RandomModel.NAPLES
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     nbits = n - 1
     thr = _threshold(p)
+    chunk_rows = min(CHUNK_TRIALS, tuple_samples) * trials_per_tuple
+    auto = _automaton(None, n, naples, k, firstfit, chunk_rows * n)
 
     total = 0.0
     total_sq = 0.0
@@ -246,15 +336,17 @@ def estimate_expected_total(
         gen = _generator(seed, chunk_index)
         tuples = gen.integers(1, n + 1, size=(rows, n), dtype=np.int64)
         bits = _event_bits(gen, (rows, trials_per_tuple, nbits), thr, naples)
-        parked = _parks_rows(
-            np.repeat(tuples, trials_per_tuple, axis=0),
-            bits.reshape(rows * trials_per_tuple, nbits),
-            naples,
-            k,
-            firstfit,
-        )
-        hits = parked.reshape(rows, trials_per_tuple).sum(axis=1)
-        frac = hits / trials_per_tuple
+        if auto is not None:
+            parked = _walk(auto, tuples[:, None, :], bits)
+        else:
+            parked = _parks_rows(
+                np.repeat(tuples, trials_per_tuple, axis=0),
+                bits.reshape(rows * trials_per_tuple, nbits),
+                naples,
+                k,
+                firstfit,
+            ).reshape(rows, trials_per_tuple)
+        frac = parked.sum(axis=1) / trials_per_tuple
         # Left-to-right running sums, as a per-tuple loop would add them;
         # np.sum's pairwise order could change the last bits.
         total = float(np.add.accumulate(np.append(total, frac))[-1])
@@ -270,11 +362,7 @@ def estimate_expected_total(
         stderr = sqrt(max(var, 0.0) / tuple_samples)
     else:
         stderr = 0.0
-    stats = {
-        "path": "replay",
-        "rng_chunks": chunk_index,
-        "rows_walked": tuple_samples * trials_per_tuple,
-    }
+    stats = _stats(auto, chunk_index, tuple_samples * trials_per_tuple)
     return McEstimate(
         mean=mean, stderr=stderr, trials=tuple_samples, seed=seed, stats=stats
     )

@@ -96,6 +96,14 @@ class TestFullCensus:
         with pytest.raises(ValueError):
             full_census(3, threads=0)
 
+    def test_semantics_value_means_its_member(self):
+        ff = full_census(4, k=2, semantics="firstfit")
+        assert ff == full_census(4, k=2, semantics=FIRSTFIT)
+        assert ff.semantics is FIRSTFIT
+        for bad in ("first-fit", 2, None):
+            with pytest.raises(ValueError):
+                full_census(3, semantics=bad)
+
     def test_k_and_threads_must_be_plain_ints(self):
         for bad in (True, 1.5, "2", None):
             with pytest.raises(ValueError):

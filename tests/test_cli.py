@@ -284,11 +284,19 @@ class TestMc:
         "args,stats",
         [
             (["--alpha", "2,2,2", "--trials", "40000"],
-             {"path": "lookup", "rng_chunks": 2, "rows_walked": 4}),
+             {"path": "automaton", "rng_chunks": 2, "rows_walked": 40000,
+              "states_peak": 2}),
             (["--alpha", ",".join(["1"] * 18), "--trials", "300"],
-             {"path": "replay", "rng_chunks": 1, "rows_walked": 300}),
+             {"path": "automaton", "rng_chunks": 1, "rows_walked": 300,
+              "states_peak": 1}),
             (["--n", "3", "--tuple-samples", "500", "--trials-per-tuple", "2"],
-             {"path": "replay", "rng_chunks": 1, "rows_walked": 1000}),
+             {"path": "automaton", "rng_chunks": 1, "rows_walked": 1000,
+              "states_peak": 3}),
+            # 50 rows x 24 cars touch fewer cells than the first two layers
+            # of the all-spot automaton hold, so the chunk is replayed.
+            (["--n", "24", "--tuple-samples", "50"],
+             {"path": "replay", "rng_chunks": 1, "rows_walked": 50,
+              "states_peak": 0}),
         ],
     )
     def test_json_meta_reports_run_stats(self, runner, args, stats):
@@ -345,12 +353,12 @@ class TestMc:
         )
         assert result.exit_code == 2
 
-    def test_bad_threads_exits_one(self, runner):
+    def test_threads_is_not_an_mc_option(self, runner):
         result = runner.invoke(
             main,
-            ["mc", "--alpha", "1,1", "--model", "naples", "--threads", "0"],
+            ["mc", "--alpha", "1,1", "--model", "naples", "--threads", "2"],
         )
-        assert result.exit_code == 1
+        assert result.exit_code == 2
 
 
 class TestConstruct:

@@ -165,6 +165,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             park_with_choices((1, 1), 0, RandomModel.NAPLES, k=-2)
 
+    def test_model_and_semantics_values_mean_their_members(self):
+        assert park_naples_det((3, 3, 3), 2, "firstfit") == park_naples_det(
+            (3, 3, 3), 2, FIRSTFIT
+        )
+        # (2, 2, 2) with every bit 0 parks under Naples, not under direction.
+        for walk in (park_with_choices, parks_under_choices):
+            assert walk((2, 2, 2), 0, "naples") == walk((2, 2, 2), 0, RandomModel.NAPLES)
+            assert walk((2, 2, 2), 0, "direction") == walk(
+                (2, 2, 2), 0, RandomModel.DIRECTION
+            )
+            assert walk((3, 3, 3), 0, "naples", 2, "firstfit") == walk(
+                (3, 3, 3), 0, RandomModel.NAPLES, 2, FIRSTFIT
+            )
+
+    @pytest.mark.parametrize("model,semantics", [(7, JUMP), ("NAPLES", JUMP),
+                                                 (RandomModel.NAPLES, "back")])
+    def test_unknown_model_or_semantics(self, model, semantics):
+        with pytest.raises(ValueError):
+            parks_under_choices((2, 2, 2), 0, model, 1, semantics)
+        with pytest.raises(ValueError):
+            park_with_choices((2, 2, 2), 0, model, 1, semantics)
+        if model is RandomModel.NAPLES:
+            with pytest.raises(ValueError):
+                park_naples_det((2, 2, 2), 1, semantics)
+
 
 @st.composite
 def replay_cases(draw):

@@ -72,6 +72,31 @@ class TestPolyAlgebra:
         assert str(Poly((0, -1))) == "-p"
 
 
+class TestModelValues:
+    def test_values_mean_their_members(self):
+        assert prob_of_model((2, 2, 2), "direction") == Poly((0, 2, -2))
+        assert prob_of_model((2, 2, 2), "naples") == Poly((0, 2, -1))
+        prefs = (3, 3, 2)
+        assert prob_of_model(prefs, "naples", 2, "firstfit") == prob_random_naples(
+            prefs, 2, FIRSTFIT
+        )
+        assert prob_random_naples(prefs, 2, "firstfit") != prob_random_naples(
+            prefs, 2, JUMP
+        )
+
+    @pytest.mark.parametrize("model,semantics", [(7, JUMP), ("Naples", JUMP),
+                                                 (RandomModel.DIRECTION, 1)])
+    def test_unknown_values_are_rejected(self, model, semantics):
+        with pytest.raises(ValueError):
+            prob_of_model((2, 2, 2), model, 1, semantics)
+
+    def test_unknown_semantics_in_naples_walks(self):
+        with pytest.raises(ValueError):
+            prob_random_naples((2, 2, 2), 2, "first-fit")
+        with pytest.raises(ValueError):
+            parking_choice_count((2, 2, 2), 2, None)
+
+
 class TestKnownPolynomials:
     def test_naples_three_in_a_row(self):
         assert prob_random_naples((2, 2, 2)) == Poly((0, 2, -1))

@@ -3,10 +3,11 @@
 The values in mc_seeded_stream.json were recorded from the per-trial Python
 replay (one core._parks walk per trial). Draws, chunking and thresholds fix
 every estimate, so any replay kernel must reproduce them bit for bit. The
-grid covers the lookup-table path (3 and 12 cars), the replay path (18, 30,
-66 and 70 cars, the last two wider than one uint64 of choice bits), runs
-that cross a chunk boundary (40,000 trials or samples), and multi-trial
-tuples, whose per-tuple float sums depend on summation order.
+grid covers fixed tuples of 3 to 70 cars (66 and 70 are wider than one
+uint64 of choice bits), runs that cross a chunk boundary (40,000 trials or
+samples), and multi-trial tuples, whose per-tuple float sums depend on
+summation order. Every case takes the automaton path; the replay fallback
+is checked against it in test_montecarlo.py.
 """
 
 import json

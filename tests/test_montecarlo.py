@@ -62,17 +62,32 @@ def _beta(row) -> int:
     return sum(1 << j for j, b in enumerate(row.tolist()) if b)
 
 
+def _expected_parks(prefs, bits, naples, k, firstfit) -> list:
+    full = (1 << prefs.shape[1]) - 1
+    rows = [tuple(row) for row in prefs.tolist()]
+    return [
+        _parks(t, _beta(b), naples, k, firstfit, full) for t, b in zip(rows, bits)
+    ]
+
+
 def _assert_walker_matches_parks(prefs, bits, configs=None):
     """_parks_rows equals core._parks row by row under each config; returns the last."""
-    n = prefs.shape[1]
-    full = (1 << n) - 1
-    betas = [_beta(row) for row in bits]
-    rows = [tuple(row) for row in prefs.tolist()]
     for naples, k, firstfit in configs or WALKER_CONFIGS:
         got = montecarlo._parks_rows(prefs, bits, naples, k, firstfit)
-        want = [_parks(t, b, naples, k, firstfit, full) for t, b in zip(rows, betas)]
+        want = _expected_parks(prefs, bits, naples, k, firstfit)
         assert got.tolist() == want, (naples, k, firstfit)
     return got
+
+
+def _fixed_tuple_walk(prefs, bits, naples, k, firstfit) -> list:
+    """Each row walked through the automaton of its own tuple."""
+    n = prefs.shape[1]
+    parked = []
+    for row, row_bits in zip(prefs.tolist(), bits):
+        auto = montecarlo._automaton(tuple(row), n, naples, k, firstfit, 1 << 20)
+        assert auto is not None
+        parked.append(bool(montecarlo._walk(auto, None, row_bits[None])[0]))
+    return parked
 
 
 class TestReproducibility:
@@ -98,12 +113,24 @@ class TestReproducibility:
         )
         assert a == b
 
-    def test_lookup_and_replay_paths_agree(self, monkeypatch):
-        kwargs = dict(p=Fraction(1, 3), trials=5_000, seed=7)
-        via_table = estimate_prob((2, 2, 3, 1), RandomModel.NAPLES, **kwargs)
-        monkeypatch.setattr(montecarlo, "_LOOKUP_MAX_BITS", -1)
-        via_replay = estimate_prob((2, 2, 3, 1), RandomModel.NAPLES, **kwargs)
-        assert via_table == via_replay
+    def test_automaton_and_replay_paths_agree(self, monkeypatch):
+        prob = dict(
+            prefs=(2, 2, 3, 1, 4, 4), model=RandomModel.NAPLES, k=2,
+            semantics=FIRSTFIT, p=Fraction(1, 3), trials=40_000, seed=7,
+        )
+        total = dict(
+            n=5, model=RandomModel.DIRECTION, p=Fraction(2, 3),
+            tuple_samples=3_000, trials_per_tuple=3, seed=7,
+        )
+        via_automaton = estimate_prob(**prob), estimate_expected_total(**total)
+        monkeypatch.setattr(montecarlo, "_automaton", lambda *args: None)
+        via_replay = estimate_prob(**prob), estimate_expected_total(**total)
+        assert via_automaton == via_replay
+        for auto, replay in zip(via_automaton, via_replay):
+            assert auto.stats["path"] == "automaton"
+            assert auto.stats["states_peak"] > 1
+            assert replay.stats["path"] == "replay"
+            assert replay.stats["states_peak"] == 0
 
 
 class TestDegenerateCases:
@@ -240,6 +267,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate_expected_total(2, RandomModel.NAPLES, p=-1)
 
+    def test_model_and_semantics_values_mean_their_members(self):
+        kwargs = dict(k=2, trials=2_000, seed=SEED)
+        assert estimate_prob((3, 3, 2), "naples", semantics="firstfit", **kwargs) == (
+            estimate_prob((3, 3, 2), RandomModel.NAPLES, semantics=FIRSTFIT, **kwargs)
+        )
+        assert estimate_prob((2, 2, 2), "direction", **kwargs) == estimate_prob(
+            (2, 2, 2), RandomModel.DIRECTION, **kwargs
+        )
+        assert estimate_expected_total(
+            3, "naples", tuple_samples=2_000, seed=SEED
+        ) == estimate_expected_total(3, RandomModel.NAPLES, tuple_samples=2_000, seed=SEED)
+
+    @pytest.mark.parametrize("model,semantics", [(7, JUMP), ("Naples", JUMP),
+                                                 (RandomModel.NAPLES, "first-fit")])
+    def test_unknown_model_or_semantics(self, model, semantics):
+        with pytest.raises(ValueError):
+            estimate_prob((2, 2, 2), model, semantics=semantics, trials=10)
+        with pytest.raises(ValueError):
+            estimate_expected_total(3, model, semantics=semantics, tuple_samples=10)
+
     def test_bad_preferences_and_k(self):
         with pytest.raises(ValueError):
             estimate_prob((0, 1), RandomModel.NAPLES)
@@ -270,15 +317,6 @@ class TestMoreThan64Cars:
         assert exact == HALF
         assert abs(est.mean - float(exact)) < 5 * est.stderr
 
-    @pytest.mark.parametrize("width", [0, 1, 63, 64])
-    def test_pack_matches_a_bit_by_bit_sum(self, width):
-        bits = np.random.default_rng(width).integers(0, 2, size=(3, 4, width)) == 1
-        expected = [
-            [sum(int(b) << j for j, b in enumerate(row)) for row in block]
-            for block in bits
-        ]
-        assert montecarlo._pack_words(bits).tolist() == expected
-
     @pytest.mark.parametrize("n", [65, 130])
     def test_walker_matches_parks_beyond_64_cars(self, n):
         rng = np.random.default_rng(n)
@@ -302,3 +340,56 @@ class TestWalker:
     def test_matches_parks_on_random_rows(self, case):
         prefs, bits, config = case
         _assert_walker_matches_parks(prefs, bits, [config])
+
+
+class TestAutomaton:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_matches_parks_on_every_tuple_and_choice_vector(self, n):
+        tuples = np.array(list(product(range(1, n + 1), repeat=n)))
+        choices = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1 == 1
+        full = (1 << n) - 1
+        for naples, k, firstfit in WALKER_CONFIGS:
+            # Row beta of choices is the choice vector beta.
+            want = np.array(
+                [
+                    [_parks(t, beta, naples, k, firstfit, full) for beta in range(len(choices))]
+                    for t in tuples.tolist()
+                ]
+            )
+            every = montecarlo._automaton(None, n, naples, k, firstfit, 1 << 20)
+            bits = np.broadcast_to(choices, (len(tuples), *choices.shape))
+            got = montecarlo._walk(every, tuples[:, None, :], bits)
+            assert (got == want).all(), (naples, k, firstfit)
+            for t, row in zip(tuples, want):
+                auto = montecarlo._automaton(tuple(t), n, naples, k, firstfit, 1 << 20)
+                assert (montecarlo._walk(auto, None, choices) == row).all(), (
+                    tuple(t), naples, k, firstfit
+                )
+
+    @given(walker_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_parks_on_random_rows(self, case):
+        prefs, bits, config = case
+        assert _fixed_tuple_walk(prefs, bits, *config) == _expected_parks(
+            prefs, bits, *config
+        )
+
+    def test_all_spot_layers_hold_every_mask_of_their_popcount(self):
+        auto = montecarlo._automaton(None, 10, True, 1, False, 1 << 20)
+        assert auto.states_peak == 252
+        assert [i for i, _ in auto.steps] == list(range(10))
+
+    def test_bound_stops_the_search(self):
+        # Layers 0 and 1 of the 24-spot automaton hold 96 + 1200 cells.
+        assert montecarlo._automaton(None, 24, False, 1, False, 1295) is None
+        assert montecarlo._automaton((1,) * 24, 24, False, 1, False, 47) is None
+
+    def test_large_total_takes_the_replay_path(self):
+        est = estimate_expected_total(
+            24, RandomModel.NAPLES, tuple_samples=2_000, seed=SEED
+        )
+        assert est.stats == {
+            "path": "replay", "rng_chunks": 1, "rows_walked": 2_000, "states_peak": 0
+        }
+        exact = expected_random_naples(24, 1, HALF) / 24**24
+        assert abs(est.mean - float(exact)) < 5 * est.stderr
