@@ -50,6 +50,7 @@ from .exact import (
     Poly,
     parking_choice_count,
     prob_of_model,
+    prob_of_model_at,
     prob_random_direction,
     prob_random_naples,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "parking_count",
     "parks_under_choices",
     "prob_of_model",
+    "prob_of_model_at",
     "prob_random_direction",
     "prob_random_naples",
     "shape_of",

@@ -17,6 +17,10 @@ two-car prefix at a time, which bounds the largest matrix at n^(n-2) rows.
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
 report-producing verifiers wired to the command-line `verify` subcommand.
+A staircase's choice count is 2^(n-1) - 1 minus one power of two per block
+remainder, so the inverse reads the staircase off the binary digits of the
+target in O(n); every constructed tuple is re-checked by the exact point
+count (exact.parking_choice_count).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from random import Random
 from typing import Iterator, Optional, Sequence
@@ -42,6 +45,8 @@ from .exact import (
     Poly,
     _branch_counts_to_poly,
     _direction_backward,
+    _naples_backward,
+    _point_weight,
     _success_branch_counts,
     parking_choice_count,
 )
@@ -343,33 +348,36 @@ def staircase_choice_count(shape: StaircaseShape) -> int:
     return g
 
 
-ODD_SEARCH_MAX_N = 24
+def _staircase_for_odd(n: int, t: int) -> tuple[int, ...]:
+    """The staircase with choice count 2t - 1, read off the closed form.
+
+    Let r_1 > r_2 > ... >= 2 be the car counts left after each block is
+    peeled off a staircase (see staircase_choice_count). Its count is
+    2^(n-1) - 1 - sum_j 2^(r_j - 1), so the set bits j of 2^(n-1) - 2t name
+    the remainders r = j + 1. The blocks are the differences of successive
+    remainders, and the last block is the final remainder.
+    """
+    rest = (1 << (n - 1)) - 2 * t
+    remainders = [j + 1 for j in range(rest.bit_length() - 1, 0, -1) if rest >> j & 1]
+    cuts = [n, *remainders, 0]
+    return StaircaseShape(tuple(a - b for a, b in zip(cuts, cuts[1:]))).expand()
 
 
 def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
     """The unique n-tuple whose parking probability is (2t-1) / 2^(n-1).
 
-    Found by scanning the 2^(n-2) staircase shapes for the one whose closed
-    form hits 2t-1; the result is re-checked against the exact choice count
-    before being returned.
+    It is the staircase whose block remainders are the set bits of
+    2^(n-1) - 2t (the closed-form inverse, O(n) at any n). The result is
+    re-checked against the exact choice count before being returned.
     """
     if n < 2:
         raise ValueError(f"odd numerators need n >= 2, got {n}")
-    if n > ODD_SEARCH_MAX_N:
-        raise ValueError(
-            f"shape search at n={n} scans 2^{n-2} shapes; "
-            f"the supported maximum is {ODD_SEARCH_MAX_N}"
-        )
     if not 1 <= t <= 1 << (n - 2):
         raise ValueError(f"t must lie in [1, 2^{n-2}] = [1, {1 << (n-2)}], got {t}")
-    target = 2 * t - 1
-    for shape in iter_staircase_shapes(n):
-        if staircase_choice_count(shape) == target:
-            alpha = shape.expand()
-            if parking_choice_count(alpha) != target:
-                raise RuntimeError(f"closed form and replay disagree on {alpha}")
-            return alpha
-    raise RuntimeError(f"no staircase shape with count {target} at n={n}")
+    alpha = _staircase_for_odd(n, t)
+    if parking_choice_count(alpha) != 2 * t - 1:
+        raise RuntimeError(f"closed form and replay disagree on {alpha}")
+    return alpha
 
 
 def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
@@ -377,9 +385,11 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
 
     Odd a comes from the staircase inverse; a = 2^(n-1) is any permutation
     (canonically all-ones); a = 0 is the all-n tuple, which exists only for
-    n >= 3 (every 1- and 2-car tuple parks with positive probability); even
-    0 < a < 2^(n-1) prepends a car on spot 1 to a shifted witness for a/2,
-    which halves nothing and doubles the denominator's exponent.
+    n >= 3 (every 1- and 2-car tuple parks with positive probability). Even
+    0 < a < 2^(n-1) with s trailing zero bits is (1, 2, ..., s) followed by
+    the staircase for the odd a >> s on n - s cars, each entry shifted up
+    by s: every car on a spot of its own halves nothing and doubles the
+    denominator. The result is re-checked against the exact choice count.
     """
     if n < 1:
         raise ValueError(f"car count n must be positive, got {n}")
@@ -395,11 +405,10 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
                 "no zero-probability witness exists"
             )
         alpha = (n,) * n
-    elif a & 1:
-        alpha = tuple_for_odd_numerator(n, (a + 1) // 2)
     else:
-        inner = tuple_for_numerator(n - 1, a // 2)
-        alpha = (1,) + tuple(x + 1 for x in inner)
+        s = (a & -a).bit_length() - 1
+        inner = _staircase_for_odd(n - s, ((a >> s) + 1) // 2)
+        alpha = tuple(range(1, s + 1)) + tuple(x + s for x in inner)
     if parking_choice_count(alpha) != a:
         raise RuntimeError(f"constructed {alpha} misses numerator {a}")
     return alpha
@@ -587,8 +596,9 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
 
     For k = 1 they provably coincide (one step back is one spot). For k >= 2
     the counting recursion can only match one of them; this sweep compares
-    each semantics' expected count (sum of exact probabilities over all
-    tuples at p = 1/2) against the recursion and reports which one agrees.
+    each semantics' expected count (the sum of all n^n tuples' probabilities
+    at p = 1/2, one point step over every letter) against the recursion and
+    reports which one agrees.
     Informational rows never fail; the k = 1 coincidence row does.
     """
     if not 1 <= n <= 6:
@@ -597,11 +607,10 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     every = [range(1, n + 1)] * n
     sums = {}
     for semantics in NaplesSemantics:
-        firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-        backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
-        counts = _success_branch_counts(every, backward)
-        total_num = sum(c << (n - 1 - f - b) for (f, b), c in counts.items())
-        sums[semantics] = Fraction(total_num, 1 << (n - 1))
+        backward = _naples_backward(k, semantics)
+        sums[semantics] = Fraction(
+            _point_weight(every, backward, True, 1, 2), 1 << (n - 1)
+        )
     recursion = expected_random_naples(n, k, Fraction(1, 2))
     if k == 1:
         checks = (

@@ -32,7 +32,7 @@ from .census import (
     verify_sandwich,
 )
 from .circular import verify_circular
-from .exact import prob_of_model
+from .exact import prob_of_model, prob_of_model_at
 from .montecarlo import estimate_expected_total, estimate_prob
 from .recursions import expected_random_naples, naples_count, parking_count
 
@@ -159,11 +159,11 @@ def main():
 @_domain_errors
 def prob(alpha, model, k, semantics, p, fmt):
     """Exact parking probability of one tuple, as a polynomial or a rational."""
-    poly = prob_of_model(alpha, model, k=k, semantics=semantics)
     alpha_text = ",".join(str(a) for a in alpha)
     meta = _meta(alpha=list(alpha), model=model, k=k, semantics=semantics,
                  p=_frac(p) if p is not None else None)
     if p is None:
+        poly = prob_of_model(alpha, model, k=k, semantics=semantics)
         coeffs = list(poly.coeffs)
         if fmt == "json":
             payload = {"meta": meta, "rows": [{"coeffs": coeffs}]}
@@ -178,7 +178,7 @@ def prob(alpha, model, k, semantics, p, fmt):
                 [f"alpha = ({alpha_text})", f"P(parks) = {poly}"],
             )
     else:
-        value = poly.evaluate(p)
+        value = prob_of_model_at(alpha, model, p, k=k, semantics=semantics)
         row = {"value": _frac(value), "decimal": float(value)}
         _emit(
             fmt,

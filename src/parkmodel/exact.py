@@ -8,6 +8,14 @@ fills the same spots, so the work follows the reachable masks, not the 2^(n-1)
 vectors.  Expanding each monomial keeps everything in exact integer
 arithmetic; evaluation takes a Fraction and returns a Fraction.
 
+Where only the value at one rational p = u/v is wanted, the same step
+carries one integer weight per mask instead of the graded counts (the point
+step, _point_weight): x v when the car's spot is free, x u on the p-branch,
+x (v - u) on the other.  The probability is the summed weight over v^(n-1);
+car 1 never meets a taken spot, so it has no coin.  At p = 1/2 the factors
+are 2/1/1 and the weight counts successful choice vectors, which is how
+parking_choice_count and prob_of_model_at avoid building a polynomial.
+
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
 the probability of the backward branch (bit 0).
@@ -30,6 +38,17 @@ from .core import (
     _lowest_free_from,
     check_preferences,
 )
+
+
+def _rational(p) -> Fraction:
+    """p as a Fraction; floats are rejected on purpose (0.1 is not 1/10)."""
+    if isinstance(p, float):
+        raise TypeError("evaluate wants a Fraction or int, not a float")
+    if isinstance(p, int) and not isinstance(p, bool):
+        return Fraction(p)
+    if not isinstance(p, Fraction):
+        raise TypeError(f"cannot evaluate at {p!r}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -101,12 +120,7 @@ class Poly:
         Floats are rejected on purpose: the whole module exists to avoid
         rounding, and 0.1 is not 1/10.
         """
-        if isinstance(p, float):
-            raise TypeError("evaluate wants a Fraction or int, not a float")
-        if isinstance(p, int) and not isinstance(p, bool):
-            p = Fraction(p)
-        if not isinstance(p, Fraction):
-            raise TypeError(f"cannot evaluate at {p!r}")
+        p = _rational(p)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * p + c
@@ -144,8 +158,9 @@ def _weight_poly(p_exp: int, q_exp: int) -> Poly:
     return Poly(tuple(out))
 
 
-def _pour(states: dict, mask: int, grades: dict, dfwd: int, dbwd: int) -> None:
-    """Add grades, shifted by (dfwd, dbwd) flips, to the state at mask."""
+def _pour(states: dict, mask: int, grades: dict, shift: tuple[int, int]) -> None:
+    """Add grades, shifted by (forward, backward) flips, to the state at mask."""
+    dfwd, dbwd = shift
     into = states.get(mask)
     if into is None:
         states[mask] = {(f + dfwd, b + dbwd): c for (f, b), c in grades.items()}
@@ -155,35 +170,53 @@ def _pour(states: dict, mask: int, grades: dict, dfwd: int, dbwd: int) -> None:
         into[key] = into.get(key, 0) + c
 
 
-def _park_car(states: dict, letters, moves) -> dict:
-    """Graded transfer step: park one more car in every state.
+def _pour_weight(states: dict, mask: int, weight: int, factor: int) -> None:
+    """Add weight, times the branch's factor, to the state at mask."""
+    states[mask] = states.get(mask, 0) + weight * factor
 
-    ``states`` maps an occupancy mask to {(forward flips, backward flips):
-    count}.  The car prefers each spot in ``letters`` in turn and the results
-    are summed, so one spot advances one tuple and all n spots advance every
-    tuple at once.  A blocked car lands on the (forward, backward) spots
+
+def _park_car(states: dict, letters, moves, pour, steps) -> dict:
+    """Transfer step: park one more car in every state.
+
+    ``states`` maps an occupancy mask to its value; ``pour(new, mask, value,
+    step)`` adds a value carried by one branch into the next states, where
+    ``steps`` gives the (free spot, forward, backward) branches' step.  The
+    car prefers each spot in ``letters`` in turn and the results are summed,
+    so one spot advances one tuple and all n spots advance every tuple at
+    once.  A blocked car lands on the (forward, backward) spots
     ``moves(occ, a)`` returns; 0 drops that branch.
     """
+    free_step, fwd_step, bwd_step = steps
     new: dict = {}
-    for occ, grades in states.items():
+    for occ, value in states.items():
         for a in letters:
             bit = 1 << (a - 1)
             if not occ & bit:
-                _pour(new, occ | bit, grades, 0, 0)
+                pour(new, occ | bit, value, free_step)
                 continue
             f, b = moves(occ, a)
             if f:
-                _pour(new, occ | 1 << (f - 1), grades, 1, 0)
+                pour(new, occ | 1 << (f - 1), value, fwd_step)
             if b:
-                _pour(new, occ | 1 << (b - 1), grades, 0, 1)
+                pour(new, occ | 1 << (b - 1), value, bwd_step)
     return new
 
 
-def _park_all(cars, moves) -> dict:
-    """Graded states after parking every car; cars[i] lists car i's letters."""
-    states: dict = {0: {(0, 0): 1}}
-    for letters in cars:
-        states = _park_car(states, letters, moves)
+def _park_all(
+    cars, moves, start=None, pour=_pour, steps=((0, 0), (1, 0), (0, 1))
+) -> dict:
+    """States after parking every car; cars[i] lists car i's letters.
+
+    The values are graded {(forward flips, backward flips): count} dicts by
+    default; pass a start value, pour and steps to carry another value (see
+    _point_weight).  Car 1 finds the lot empty and consults no coin, so it
+    lands on its spot with the start value.
+    """
+    if start is None:
+        start = {(0, 0): 1}
+    states = {1 << (a - 1): start for a in cars[0]}
+    for letters in cars[1:]:
+        states = _park_car(states, letters, moves, pour, steps)
     return states
 
 
@@ -192,12 +225,11 @@ def _direction_backward(free: int, a: int) -> int:
     return _highest_free_upto(free, a - 1) if a > 1 else 0
 
 
-def _success_branch_counts(cars, backward_spot) -> dict[tuple[int, int], int]:
-    """Count successful choice vectors by (forward flips, backward flips).
+def _success_states(cars, backward_spot, **carry) -> dict:
+    """States after parking cars (see _park_all for carry).
 
-    ``cars[i]`` lists the spots car i may prefer (see _park_car).  A blocked
-    car searches forward past its spot, or lands on ``backward_spot(free, a)``
-    (0 = the branch fails).
+    A blocked car searches forward past its spot, or lands on
+    ``backward_spot(free, a)`` (0 = the branch fails).
     """
     full = (1 << len(cars)) - 1
 
@@ -205,11 +237,35 @@ def _success_branch_counts(cars, backward_spot) -> dict[tuple[int, int], int]:
         free = ~occ & full
         return _lowest_free_from(free, a + 1), backward_spot(free, a)
 
+    return _park_all(cars, moves, **carry)
+
+
+def _success_branch_counts(cars, backward_spot) -> dict[tuple[int, int], int]:
+    """Count successful choice vectors by (forward flips, backward flips).
+
+    ``cars[i]`` lists the spots car i may prefer (see _park_car); the
+    branches are those of _success_states.
+    """
     counts: dict[tuple[int, int], int] = {}
-    for grades in _park_all(cars, moves).values():
+    for grades in _success_states(cars, backward_spot).values():
         for key, c in grades.items():
             counts[key] = counts.get(key, 0) + c
     return counts
+
+
+def _point_weight(cars, backward_spot, p_is_backward: bool, u: int, v: int) -> int:
+    """v^(n-1) times the success probability at p = u/v, summed over the tuples.
+
+    The point step: each state carries one integer weight instead of a
+    graded count, multiplied by v when the car's spot is free (its coin is
+    not consulted), by u on the p-branch and by v - u on the other branch.
+    At p = 1/2 that is 2/1/1, so the weight counts successful choice vectors.
+    """
+    steps = (v, v - u, u) if p_is_backward else (v, u, v - u)
+    states = _success_states(
+        cars, backward_spot, start=1, pour=_pour_weight, steps=steps
+    )
+    return sum(states.values())
 
 
 def _branch_counts_to_poly(counts, p_is_backward: bool) -> Poly:
@@ -221,6 +277,13 @@ def _branch_counts_to_poly(counts, p_is_backward: bool) -> Poly:
             w = _weight_poly(fwd, bwd)
         total = total + w.scale(mult)
     return total
+
+
+def _naples_backward(k: int, semantics: NaplesSemantics):
+    """backward_spot of the random k-Naples rule under semantics."""
+    _check_int(k, "backward allowance k", 0)
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
+    return partial(_naples_branch_spot, k=k, firstfit=firstfit)
 
 
 def prob_random_direction(prefs: Sequence[int]) -> Poly:
@@ -244,11 +307,8 @@ def prob_random_naples(
     A blocked car takes the k-spot backup branch with probability p and a
     plain forward search with probability 1-p.
     """
-    n = len(prefs)
-    check_preferences(prefs, n)
-    _check_int(k, "backward allowance k", 0)
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    backward = partial(_naples_branch_spot, k=k, firstfit=firstfit)
+    check_preferences(prefs, len(prefs))
+    backward = _naples_backward(k, semantics)
     counts = _success_branch_counts([(a,) for a in prefs], backward)
     return _branch_counts_to_poly(counts, p_is_backward=True)
 
@@ -266,6 +326,29 @@ def prob_of_model(
     return prob_random_naples(prefs, k=k, semantics=semantics)
 
 
+def prob_of_model_at(
+    prefs: Sequence[int],
+    model: RandomModel,
+    p,
+    k: int = 1,
+    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+) -> Fraction:
+    """prob_of_model(prefs, model, k, semantics).evaluate(p), exactly.
+
+    Runs the point step at p = u/v (_point_weight), so no polynomial is
+    built: the value is the summed weight over v^(n-1).  Any rational p is
+    accepted, as by Poly.evaluate.
+    """
+    semantics = NaplesSemantics(semantics)
+    direction = RandomModel(model) is RandomModel.DIRECTION
+    check_preferences(prefs, len(prefs))
+    backward = _direction_backward if direction else _naples_backward(k, semantics)
+    p = _rational(p)
+    u, v = p.numerator, p.denominator
+    weight = _point_weight([(a,) for a in prefs], backward, not direction, u, v)
+    return Fraction(weight, v ** (len(prefs) - 1))
+
+
 def parking_choice_count(
     prefs: Sequence[int],
     k: int = 1,
@@ -273,11 +356,12 @@ def parking_choice_count(
 ) -> int:
     """Number of the 2**(n-1) choice vectors that park prefs (Naples branch).
 
-    Equals 2**(n-1) times the Naples parking probability at p = 1/2.
+    Equals 2**(n-1) times the Naples parking probability at p = 1/2, and is
+    counted directly by the point step at p = 1/2: a free spot doubles a
+    state's weight and each landing branch keeps it.  The work follows the
+    reachable occupancy masks with one integer each, so a 1000-car staircase
+    takes milliseconds.
     """
-    n = len(prefs)
-    poly = prob_random_naples(prefs, k=k, semantics=semantics)
-    val = poly.evaluate(Fraction(1, 2)) * (1 << (n - 1))
-    if val.denominator != 1:
-        raise RuntimeError(f"choice count of {tuple(prefs)} is not an integer: {val}")
-    return val.numerator
+    check_preferences(prefs, len(prefs))
+    backward = _naples_backward(k, semantics)
+    return _point_weight([(a,) for a in prefs], backward, True, 1, 2)

@@ -2,10 +2,13 @@
 
 Reproducibility scheme: trials are processed in fixed chunks of 2**15, and
 chunk c of a run seeded with s draws from Philox keyed by SeedSequence
-entropy (s, c). Each trial consumes exactly n - 1 branch draws, one per car
-2..n, whether or not that car hits a conflict (unconsulted draws mirror the
-unconsulted choice bits of the exact enumeration), so results depend only on
-(inputs, seed, trial count), never on scheduling. A branch draw is one
+entropy (s, c). For 0 < p < 1 each trial consumes exactly n - 1 branch
+draws, one per car 2..n, whether or not that car hits a conflict
+(unconsulted draws mirror the unconsulted choice bits of the exact
+enumeration); at p = 0 or 1 every bit is fixed and none is drawn. The bits
+are a chunk's last draws, so skipping them moves no other draw, and results
+depend only on (inputs, seed, trial count), never on scheduling. A branch
+draw is one
 uint64 u; the p-weighted event fires when u < floor(p * 2**64), which is
 exact whenever p has a power-of-two denominator (every table-relevant case)
 and off by under 2**-64 otherwise.
@@ -71,10 +74,13 @@ def _generator(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
-    """Boolean array of choice bits; bit 1 is always the forward-only branch."""
-    draws = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    """Boolean array of choice bits; bit 1 is always the forward-only branch.
+
+    At p = 0 or 1 every bit is the same, so nothing is drawn.
+    """
     if thr <= 0 or thr >= 1 << 64:
         return np.full(shape, (thr > 0) != naples)
+    draws = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
     # One comparison, so only one bool array sits beside the draws.
     return draws >= np.uint64(thr) if naples else draws < np.uint64(thr)
 

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parkmodel.census as census
 from parkmodel import (
@@ -248,8 +250,28 @@ class TestOddInverse:
             tuple_for_odd_numerator(6, 0)
         with pytest.raises(ValueError):
             tuple_for_odd_numerator(6, 17)
-        with pytest.raises(ValueError):
-            tuple_for_odd_numerator(25, 1)
+        for n in (25, 1000):
+            assert tuple_for_odd_numerator(n, 1) == (n,) + tuple(range(n, 1, -1))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_equals_the_shape_scan(self, n):
+        by_count = {
+            staircase_choice_count(shape): shape.expand()
+            for shape in iter_staircase_shapes(n)
+        }
+        for t in range(1, (1 << (n - 2)) + 1):
+            assert tuple_for_odd_numerator(n, t) == by_count[2 * t - 1]
+
+    @given(st.integers(2, 1000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, 1 << (n - 2)))
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_at_large_n(self, case):
+        n, t = case
+        alpha = tuple_for_odd_numerator(n, t)
+        assert len(alpha) == n and is_staircase(alpha)
+        assert staircase_choice_count(shape_of(alpha)) == 2 * t - 1
+        assert parking_choice_count(alpha) == 2 * t - 1
 
 
 class TestDyadicInverse:
@@ -271,6 +293,14 @@ class TestDyadicInverse:
             tuple_for_numerator(2, 0)
         with pytest.raises(ValueError):
             tuple_for_numerator(1, 0)
+
+    def test_long_runs_of_trailing_zero_bits(self):
+        n = 1000
+        assert tuple_for_numerator(n, 1 << 998) == tuple(range(1, 999)) + (n, n)
+        for a in ((1 << 998) - (1 << 500), 3 << 900, 5):
+            alpha = tuple_for_numerator(n, a)
+            assert len(alpha) == n
+            assert parking_choice_count(alpha) == a
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -396,6 +396,15 @@ class TestConstruct:
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
+    def test_large_n_for_either_flag(self, runner):
+        n = 1000
+        odd = runner.invoke(main, ["construct", "--n", n, "--t", 1])
+        assert odd.exit_code == 0
+        assert odd.output == ",".join(map(str, [n, *range(n, 1, -1)])) + "\n"
+        even = runner.invoke(main, ["construct", "--n", n, "--a", 1 << 998])
+        assert even.exit_code == 0
+        assert even.output == ",".join(map(str, [*range(1, 999), n, n])) + "\n"
+
     def test_domain_errors_exit_one(self, runner):
         assert (
             runner.invoke(main, ["construct", "--n", "2", "--a", "0"]).exit_code

@@ -15,9 +15,12 @@ from parkmodel import (
     park_naples_det,
     parking_choice_count,
     parks_under_choices,
+    StaircaseShape,
     prob_of_model,
+    prob_of_model_at,
     prob_random_direction,
     prob_random_naples,
+    staircase_choice_count,
 )
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
@@ -193,6 +196,12 @@ class TestChoiceCount:
             assert got == naive_choice_count(t, k, firstfit)
             assert 0 <= got <= 1 << (n - 1)
 
+    def test_four_hundred_car_staircase(self):
+        shape = StaircaseShape((1, 2, 1) * 99 + (4,))
+        assert shape.n == 400
+        alpha = shape.expand()
+        assert parking_choice_count(alpha) == staircase_choice_count(shape)
+
     def test_known_counts(self):
         assert parking_choice_count((2, 2, 2)) == 3
         assert parking_choice_count((3, 3, 3)) == 0
@@ -261,3 +270,25 @@ def test_probability_stays_in_unit_interval(case):
     poly = prob_of_model(prefs, model, k, semantics)
     for p in probe_points(len(prefs)):
         assert 0 <= poly.evaluate(p) <= 1
+
+
+@given(model_cases())
+@settings(max_examples=150, deadline=None)
+def test_point_step_matches_the_polynomial_and_the_hypercube_sum(case):
+    """prob_of_model_at runs the point step; any rational p is accepted."""
+    prefs, model, k, semantics = case
+    poly = prob_of_model(prefs, model, k, semantics)
+    for p in probe_points(len(prefs)) + [Fraction(2), Fraction(-1, 3)]:
+        got = prob_of_model_at(prefs, model, p, k, semantics)
+        assert got == poly.evaluate(p)
+        assert got == naive_prob_at(prefs, p, model.value, k, semantics is FIRSTFIT)
+
+
+def test_point_step_validates_like_the_polynomial():
+    with pytest.raises(TypeError):
+        prob_of_model_at((1, 1), RandomModel.NAPLES, 0.5)
+    with pytest.raises(ValueError):
+        prob_of_model_at((1, 3), RandomModel.NAPLES, HALF)
+    with pytest.raises(ValueError):
+        prob_of_model_at((1, 1), RandomModel.NAPLES, HALF, k=-1)
+    assert prob_of_model_at((2, 2), "direction", 1, k=-1) == 0

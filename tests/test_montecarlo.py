@@ -140,6 +140,15 @@ class TestDegenerateCases:
             assert est.mean == 1.0
             assert est.stderr == 0.0
 
+    @pytest.mark.parametrize("naples", [False, True])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1)])
+    def test_constant_coins_draw_nothing(self, naples, p):
+        gen = montecarlo._generator(SEED, 0)
+        bits = montecarlo._event_bits(gen, (4, 3), montecarlo._threshold(p), naples)
+        assert (bits == ((p == 1) != naples)).all()
+        fresh = montecarlo._generator(SEED, 0)
+        assert gen.integers(0, 1 << 63) == fresh.integers(0, 1 << 63)
+
     def test_hopeless_tuple_never_parks(self):
         est = estimate_prob((3, 3, 3), RandomModel.NAPLES, trials=512, seed=SEED)
         assert est.mean == 0.0
