@@ -11,8 +11,12 @@ forward and backward branches, dropping the ones that fail. Car 1 has no
 bit at all. After d cars every mask has popcount d, so the tables of all
 n^d prefixes form one (n^d, C(n, d)) int64 matrix, and one product with a
 per-depth transfer matrix parks the next car under every letter at once
-(the transfer-matrix form of the occupancy discipline). Sweeps run one
-two-car prefix at a time, which bounds the largest matrix at n^(n-2) rows.
+(the transfer-matrix form of the occupancy discipline). The transfer
+matrices are read off the all-spot occupancy automaton of the Monte Carlo
+module (montecarlo._automaton), so the census lands a blocked car by the
+same rule as the simulation and the scalar walker core._park. Sweeps run
+one two-car prefix at a time, which bounds the largest matrix at n^(n-2)
+rows.
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -34,13 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    NaplesSemantics,
-    _check_int,
-    _lowest_free_from,
-    _naples_branch_spot,
-    _parks,
-)
+from .core import NaplesSemantics, _check_int, _park
 from .exact import (
     Poly,
     _branch_counts_to_poly,
@@ -50,6 +48,7 @@ from .exact import (
     _success_branch_counts,
     parking_choice_count,
 )
+from .montecarlo import _automaton
 from .recursions import expected_random_naples, naples_count, parking_count
 
 CENSUS_DEFAULT_MAX_N = 7
@@ -114,40 +113,28 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
     """One int64 transfer matrix per depth d = 0..n-1.
 
     After d cars every surviving occupancy mask has popcount d, so depth d
-    has C(n, d) states, the masks of that popcount in ascending order.
-    Matrix d has shape (C(n, d), n * C(n, d+1)): column block a-1 moves car
-    d+1, preferring spot a, from each depth-d mask to the masks it can fill.
-    An entry counts the choice-bit values that make that move: 2 when spot a
-    is free (the bit is never consulted), else one for each of the forward
-    and backward branches that lands. Car 1 has no bit, so matrix 0 holds 1.
+    has C(n, d) states: layer d of the all-spot Naples automaton
+    (montecarlo._automaton), in its order. Matrix d has shape
+    (C(n, d), n * C(n, d+1)): column block a-1 moves car d+1, preferring
+    spot a, from each depth-d mask to the masks it can fill. An entry counts
+    the choice-bit values that make that move, read off car d+1's table:
+    both bits land on one mask when spot a is free (the bit is never
+    consulted), else each branch that does not reach the dead state adds
+    one. Car 1 has no bit, so matrix 0 counts bit 0 only and holds 1.
     """
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
-    full = (1 << n) - 1
-    layers: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        layers[bin(mask).count("1")].append(mask)
-    rank = [0] * (full + 1)
-    for layer in layers:
-        for i, mask in enumerate(layer):
-            rank[mask] = i
+    # No cell bound: all 2^n masks, 2n cells each, at n <= CENSUS_HARD_MAX_N.
+    auto = _automaton(None, n, True, k, firstfit, np.inf)
     mats = []
-    for d in range(n):
-        width = len(layers[d + 1])
-        mat = np.zeros((len(layers[d]), n * width), dtype=np.int64)
-        for i, mask in enumerate(layers[d]):
-            free = ~mask & full
-            for a in range(1, n + 1):
-                col = (a - 1) * width
-                bit = 1 << (a - 1)
-                if free & bit:
-                    mat[i, col + rank[mask | bit]] = 2 if d else 1
-                    continue
-                for s in (
-                    _lowest_free_from(free, a + 1),
-                    _naples_branch_spot(free, a, k, firstfit),
-                ):
-                    if s:
-                        mat[i, col + rank[mask | 1 << (s - 1)]] += 1
+    for d, table in auto.steps:
+        # The next layer's dead state is its width, and fills the last cell.
+        width = int(table[-1])
+        # Drop the two pad cells and the rows of this layer's dead state.
+        cells = table[2:].reshape(-1, n, 2)[:-1]
+        mat = np.zeros((len(cells), n * width), dtype=np.int64)
+        for b in range(2 if d else 1):
+            s, a = np.nonzero(cells[:, :, b] != width)
+            mat[s, a * width + cells[s, a, b]] += 1
         mats.append(mat)
     return mats
 
@@ -520,11 +507,11 @@ def verify_monotonicity(
 
     Exhaustive over every (tuple, choice vector, set bit) for n <= 5; above
     that, seeded random sampling of the same triple space. The rule under
-    test is the k = 1 Naples branch.
+    test is the k = 1 Naples branch. n below 2 or samples below 1 (even
+    where the sweep is exhaustive) raise ValueError.
     """
-    if n < 2:
-        raise ValueError(f"monotonicity needs n >= 2, got {n}")
-    full = (1 << n) - 1
+    _check_int(n, "car count n", 2)
+    _check_int(samples, "samples", 1)
     nbits = n - 1
     violations = 0
     if n <= 5:
@@ -532,7 +519,7 @@ def verify_monotonicity(
         for reversed_prefs in product(range(1, n + 1), repeat=n):
             prefs = reversed_prefs[::-1]
             table = [
-                _parks(prefs, beta, True, 1, False, full)
+                len(_park(prefs, beta, True, 1, False)) == n
                 for beta in range(1 << nbits)
             ]
             for beta in range(1 << nbits):
@@ -552,9 +539,8 @@ def verify_monotonicity(
             prefs = tuple(rng.randint(1, n) for _ in range(n))
             bit = 1 << rng.randrange(nbits)
             beta = rng.getrandbits(nbits) | bit
-            if _parks(prefs, beta, True, 1, False, full) and not _parks(
-                prefs, beta ^ bit, True, 1, False, full
-            ):
+            parks = len(_park(prefs, beta, True, 1, False)) == n
+            if parks and len(_park(prefs, beta ^ bit, True, 1, False)) < n:
                 violations += 1
         mode = f"sampled: {samples} random flips, seed {seed}"
     checks = (

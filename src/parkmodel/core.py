@@ -14,7 +14,8 @@ hand.  Car 1 never finds its spot taken, so a choice vector for n cars has
 n-1 bits; bit j (0-based) of the integer belongs to car j+2.  Bits of cars
 whose preferred spot is free are simply ignored.
 
-Occupancy is a plain int bitmask: bit (s-1) set means spot s is taken.
+Occupancy is a plain int bitmask of free spots: bit (s-1) set means spot s
+is still free.
 """
 
 from __future__ import annotations
@@ -120,41 +121,43 @@ def _naples_branch_spot(free: int, a: int, k: int, firstfit: bool) -> int:
     return _lowest_free_from(free, start)
 
 
-def _parks(prefs, beta, naples, k, firstfit, full):
-    """Allocation-free replay; True iff every car parks. Inputs unvalidated."""
-    occ = 0
-    for i, a in enumerate(prefs):
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            occ |= bit
-            continue
-        free = ~occ & full
-        if beta >> (i - 1) & 1:
-            s = _lowest_free_from(free, a + 1)
-        elif naples:
-            s = _naples_branch_spot(free, a, k, firstfit)
-        else:
-            s = _highest_free_upto(free, a - 1) if a > 1 else 0
-        if not s:
-            return False
-        occ |= 1 << (s - 1)
-    return True
+def _park(prefs, beta, naples, k, firstfit) -> list:
+    """Spots taken by cars 1, 2, ... in turn, stopping at the first car that fails.
+
+    Car i, blocked at its preferred spot, reads bit i-2 of beta: 1 searches
+    forward only, 0 takes the backward branch (the k-spot backup under
+    Naples, a backward-only search under direction). Every car parked iff
+    the list has one spot per car. Inputs unvalidated.
+    """
+    free = (1 << len(prefs)) - 1
+    spots = []
+    # s is car i's preferred spot until a blocked car moves it to its landing.
+    for i, s in enumerate(prefs, start=1):
+        if not free >> (s - 1) & 1:
+            if beta >> (i - 2) & 1:
+                s = _lowest_free_from(free, s + 1)
+            elif naples:
+                s = _naples_branch_spot(free, s, k, firstfit)
+            else:
+                s = _highest_free_upto(free, s - 1) if s > 1 else 0
+            if not s:
+                break
+        free ^= 1 << (s - 1)
+        spots.append(s)
+    return spots
+
+
+def _result(spots: list, n: int) -> ParkingResult:
+    if len(spots) == n:
+        return ParkingResult(True, assignment=tuple(spots))
+    return ParkingResult(False, first_failed_car=len(spots) + 1)
 
 
 def park_forward(prefs: Sequence[int]) -> ParkingResult:
     """Classic rule: each car takes the first free spot at or past its preference."""
     n = len(prefs)
     check_preferences(prefs, n)
-    full = (1 << n) - 1
-    occ = 0
-    spots = []
-    for i, a in enumerate(prefs, start=1):
-        s = _lowest_free_from(~occ & full, a)
-        if not s:
-            return ParkingResult(False, first_failed_car=i)
-        occ |= 1 << (s - 1)
-        spots.append(s)
-    return ParkingResult(True, assignment=tuple(spots))
+    return _result(_park(prefs, (1 << n) - 1, False, 0, False), n)
 
 
 def park_naples_det(
@@ -170,21 +173,18 @@ def park_naples_det(
     check_preferences(prefs, n)
     _check_int(k, "backward allowance k", 0)
     firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    full = (1 << n) - 1
-    occ = 0
-    spots = []
-    for i, a in enumerate(prefs, start=1):
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            occ |= bit
-            spots.append(a)
-            continue
-        s = _naples_branch_spot(~occ & full, a, k, firstfit)
-        if not s:
-            return ParkingResult(False, first_failed_car=i)
-        occ |= 1 << (s - 1)
-        spots.append(s)
-    return ParkingResult(True, assignment=tuple(spots))
+    return _result(_park(prefs, 0, True, k, firstfit), n)
+
+
+def _replay(prefs, beta, model, k, semantics) -> list:
+    """_park under one choice vector, after checking every input."""
+    n = len(prefs)
+    check_preferences(prefs, n)
+    check_choice_bits(beta, n)
+    _check_int(k, "backward allowance k", 0)
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
+    return _park(prefs, beta, naples, k, firstfit)
 
 
 def park_with_choices(
@@ -200,33 +200,7 @@ def park_with_choices(
     model's backward branch: under DIRECTION a backward-only search that fails
     below spot 1 without retrying forward, under NAPLES the k-spot backup.
     """
-    n = len(prefs)
-    check_preferences(prefs, n)
-    check_choice_bits(beta, n)
-    _check_int(k, "backward allowance k", 0)
-    naples = RandomModel(model) is RandomModel.NAPLES
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    full = (1 << n) - 1
-    occ = 0
-    spots = []
-    for i, a in enumerate(prefs, start=1):
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            occ |= bit
-            spots.append(a)
-            continue
-        free = ~occ & full
-        if beta >> (i - 2) & 1:
-            s = _lowest_free_from(free, a + 1)
-        elif naples:
-            s = _naples_branch_spot(free, a, k, firstfit)
-        else:
-            s = _highest_free_upto(free, a - 1) if a > 1 else 0
-        if not s:
-            return ParkingResult(False, first_failed_car=i)
-        occ |= 1 << (s - 1)
-        spots.append(s)
-    return ParkingResult(True, assignment=tuple(spots))
+    return _result(_replay(prefs, beta, model, k, semantics), len(prefs))
 
 
 def parks_under_choices(
@@ -236,16 +210,5 @@ def parks_under_choices(
     k: int = 1,
     semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
 ) -> bool:
-    """Boolean fast path of park_with_choices (no assignment bookkeeping)."""
-    n = len(prefs)
-    check_preferences(prefs, n)
-    check_choice_bits(beta, n)
-    _check_int(k, "backward allowance k", 0)
-    return _parks(
-        prefs,
-        beta,
-        RandomModel(model) is RandomModel.NAPLES,
-        k,
-        NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD,
-        (1 << n) - 1,
-    )
+    """Boolean fast path of park_with_choices (no ParkingResult is built)."""
+    return len(_replay(prefs, beta, model, k, semantics)) == len(prefs)

@@ -26,8 +26,9 @@ then costs one gather per car (_walk). When the automaton would hold more
 cells than one chunk's walk touches row-car cells (totals at large n,
 pathological tuples), the search stops and each chunk is replayed by
 _parks_rows over a bool occupancy matrix instead. Both land a blocked car
-by _land, the rule of core._parks, so the estimates equal those of a
-per-trial replay.
+by _land, the rule of the scalar walker core._park, so the estimates equal
+those of a per-trial replay. The census builds its transfer matrices from
+the all-spot automaton too.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _last_true(cand: np.ndarray) -> np.ndarray:
 
 
 def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
-    """Column each blocked car lands on, or -1 where it fails (core._parks's rule).
+    """Column each blocked car lands on, or -1 where it fails (core._park's rule).
 
     occ is the (B, n) bool occupancy of B rows whose car found its 0-based
     spot a taken; fwd is True where the car searches forward only. The
@@ -124,7 +125,7 @@ def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
 
 
 def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray:
-    """core._parks over R trials at once: True where every car of the row parks.
+    """core._park over R trials at once: True where every car of the row parks.
 
     prefs is an (R, n) int array of 1-based preferences, bits the (R, n-1)
     bool choice rows (column i-1 belongs to 0-based car i; True searches
@@ -177,14 +178,14 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     and b is the choice bit. With every spot, j is the 1-based preference:
     the table then starts with two pad cells. A fixed car whose spot is free
     in every reachable state consults no bit and keeps every state's index,
-    so it needs no table.
+    so it needs no table; every car of the all-spot automaton has one.
     """
     masks = np.zeros((1, n), dtype=bool)
     steps, cells, peak = [], 0, 1
     for i in range(n):
         spots = np.arange(n) if prefs is None else np.array([prefs[i] - 1])
         m = len(spots)
-        if m == 1 and not masks[:, spots[0]].any():
+        if prefs is not None and not masks[:, spots[0]].any():
             masks[:, spots[0]] = True
             continue
         cells += (len(masks) + 1) * 2 * m

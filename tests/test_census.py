@@ -335,6 +335,13 @@ class TestVerifiers:
         assert verify_monotonicity(4).passed
         assert verify_monotonicity(7, samples=2000, seed=1).passed
 
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("samples", [0, -3, True, 2.5])
+    def test_monotonicity_rejects_bad_sample_counts(self, n, samples):
+        # A zero-flip run would otherwise report PASSED having checked nothing.
+        with pytest.raises(ValueError, match="samples"):
+            verify_monotonicity(n, samples=samples)
+
     def test_direction_total(self):
         report = verify_direction_total(4)
         assert report.passed

@@ -269,6 +269,15 @@ class TestVerify:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("n,samples", [("6", "-3"), ("6", "0"), ("3", "0")])
+    def test_nonpositive_samples_exit_one(self, runner, n, samples):
+        result = runner.invoke(
+            main,
+            ["verify", "--check", "monotonicity", "--n", n, "--samples", samples],
+        )
+        assert result.exit_code == 1
+        assert "PASSED" not in result.output
+
 
 class TestMc:
     def test_fixed_tuple_text(self, runner):

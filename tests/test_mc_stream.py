@@ -1,13 +1,13 @@
 """Pinned seeded Monte Carlo stream: exact McEstimate values for a fixed grid.
 
 The values in mc_seeded_stream.json were recorded from the per-trial Python
-replay (one core._parks walk per trial). Draws, chunking and thresholds fix
-every estimate, so any replay kernel must reproduce them bit for bit. The
-grid covers fixed tuples of 3 to 70 cars (66 and 70 are wider than one
-uint64 of choice bits), runs that cross a chunk boundary (40,000 trials or
-samples), and multi-trial tuples, whose per-tuple float sums depend on
-summation order. Every case takes the automaton path; the replay fallback
-is checked against it in test_montecarlo.py.
+replay (one scalar walk, now core._park, per trial). Draws, chunking and
+thresholds fix every estimate, so any replay kernel must reproduce them bit
+for bit. The grid covers fixed tuples of 3 to 70 cars (66 and 70 are wider
+than one uint64 of choice bits), runs that cross a chunk boundary (40,000
+trials or samples), and multi-trial tuples, whose per-tuple float sums
+depend on summation order. Every case takes the automaton path; the replay
+fallback is checked against it in test_montecarlo.py.
 """
 
 import json

@@ -20,7 +20,7 @@ from parkmodel import (
     parks_under_choices,
     prob_of_model,
 )
-from parkmodel.core import _parks
+from parkmodel.core import _park
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
@@ -63,15 +63,15 @@ def _beta(row) -> int:
 
 
 def _expected_parks(prefs, bits, naples, k, firstfit) -> list:
-    full = (1 << prefs.shape[1]) - 1
+    n = prefs.shape[1]
     rows = [tuple(row) for row in prefs.tolist()]
     return [
-        _parks(t, _beta(b), naples, k, firstfit, full) for t, b in zip(rows, bits)
+        len(_park(t, _beta(b), naples, k, firstfit)) == n for t, b in zip(rows, bits)
     ]
 
 
 def _assert_walker_matches_parks(prefs, bits, configs=None):
-    """_parks_rows equals core._parks row by row under each config; returns the last."""
+    """_parks_rows equals core._park row by row under each config; returns the last."""
     for naples, k, firstfit in configs or WALKER_CONFIGS:
         got = montecarlo._parks_rows(prefs, bits, naples, k, firstfit)
         want = _expected_parks(prefs, bits, naples, k, firstfit)
@@ -356,12 +356,14 @@ class TestAutomaton:
     def test_matches_parks_on_every_tuple_and_choice_vector(self, n):
         tuples = np.array(list(product(range(1, n + 1), repeat=n)))
         choices = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1 == 1
-        full = (1 << n) - 1
         for naples, k, firstfit in WALKER_CONFIGS:
             # Row beta of choices is the choice vector beta.
             want = np.array(
                 [
-                    [_parks(t, beta, naples, k, firstfit, full) for beta in range(len(choices))]
+                    [
+                        len(_park(t, beta, naples, k, firstfit)) == n
+                        for beta in range(len(choices))
+                    ]
                     for t in tuples.tolist()
                 ]
             )
