@@ -9,14 +9,15 @@ produce it. A car whose preferred spot is free never consults its bit, so
 its step doubles every weight; a blocked car splits each state into its
 forward and backward branches, dropping the ones that fail. Car 1 has no
 bit at all. After d cars every mask has popcount d, so the tables of all
-n^d prefixes form one (n^d, C(n, d)) int64 matrix, and one product with a
+n^d prefixes form one (n^d, C(n, d)) matrix, and one product with a
 per-depth transfer matrix parks the next car under every letter at once
-(the transfer-matrix form of the occupancy discipline). The transfer
-matrices are read off the all-spot occupancy automaton of the Monte Carlo
-module (montecarlo._automaton), so the census lands a blocked car by the
-same rule as the simulation and the scalar walker core._park. Sweeps run
-one two-car prefix at a time, which bounds the largest matrix at n^(n-2)
-rows.
+(the transfer-matrix form of the occupancy discipline). The products run
+in float32 through BLAS; every weight is an integer of at most 2^(n-1), so
+they are exact (see _choice_counts). The transfer matrices are read off
+the all-spot occupancy automaton of the Monte Carlo module
+(montecarlo._automaton), so the census lands a blocked car by the same rule
+as the simulation and the scalar walker core._park. Sweeps run one two-car
+prefix at a time, which bounds the largest matrix at n^(n-2) rows.
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -52,7 +53,11 @@ from .montecarlo import _automaton
 from .recursions import expected_random_naples, naples_count, parking_count
 
 CENSUS_DEFAULT_MAX_N = 7
-CENSUS_HARD_MAX_N = 8
+CENSUS_HARD_MAX_N = 9
+ODD_CENSUS_MAX_N = 8
+# float32 holds every integer up to 2^24, and a choice count is at most
+# 2^(n-1), so the census products are exact up to this car count.
+FLOAT32_EXACT_MAX_N = 25
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ class DistributionTable:
 
 
 def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
-    """One int64 transfer matrix per depth d = 0..n-1.
+    """One float32 transfer matrix per depth d = 0..n-1.
 
     After d cars every surviving occupancy mask has popcount d, so depth d
     has C(n, d) states: layer d of the all-spot Naples automaton
@@ -121,7 +126,14 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
     both bits land on one mask when spot a is free (the bit is never
     consulted), else each branch that does not reach the dead state adds
     one. Car 1 has no bit, so matrix 0 counts bit 0 only and holds 1.
+    Every entry is therefore 0, 1 or 2. n above FLOAT32_EXACT_MAX_N raises
+    ValueError before the automaton is built.
     """
+    if n > FLOAT32_EXACT_MAX_N:
+        raise ValueError(
+            f"census products are exact in float32 only for n <= "
+            f"{FLOAT32_EXACT_MAX_N}, got n={n}"
+        )
     firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     # No cell bound: all 2^n masks, 2n cells each, at n <= CENSUS_HARD_MAX_N.
     auto = _automaton(None, n, True, k, firstfit, np.inf)
@@ -131,7 +143,7 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
         width = int(table[-1])
         # Drop the two pad cells and the rows of this layer's dead state.
         cells = table[2:].reshape(-1, n, 2)[:-1]
-        mat = np.zeros((len(cells), n * width), dtype=np.int64)
+        mat = np.zeros((len(cells), n * width), dtype=np.float32)
         for b in range(2 if d else 1):
             s, a = np.nonzero(cells[:, :, b] != width)
             mat[s, a * width + cells[s, a, b]] += 1
@@ -146,16 +158,25 @@ def _choice_counts(mats: list, prefix: tuple[int, ...]) -> np.ndarray:
     base-n order, the last car varying fastest. Row r of the depth-d state
     matrix holds the weights of the r-th prefix of length d; one product
     with the transfer matrix parks the next car for every letter at once.
-    Every weight is at most 2^(n-1), so int64 arithmetic is exact.
+
+    The products run in float32 through BLAS and are exact. Every matrix
+    entry is 0, 1 or 2 and every state weight is a nonnegative integer, so
+    every product term and every partial sum of an output entry is an
+    integer bounded by that entry, which counts choice-bit prefixes and so
+    is at most 2^(n-1). float32 represents every integer up to 2^24, so for
+    n <= FLOAT32_EXACT_MAX_N = 25 no rounding happens, in any summation
+    order, with or without FMA, and at any BLAS thread count.
+    _transfer_matrices refuses larger n. The counts are cast to int64 once,
+    at the end, for bincount and the parity test.
     """
     n = len(mats)
-    states = np.ones((1, 1), dtype=np.int64)
+    states = np.ones((1, 1), dtype=np.float32)
     for mat, a in zip(mats, prefix):
         width = mat.shape[1] // n
         states = states @ mat[:, (a - 1) * width : a * width]
     for mat in mats[len(prefix) :]:
         states = (states @ mat).reshape(-1, mat.shape[1] // n)
-    return states.ravel()
+    return states.ravel().astype(np.int64)
 
 
 def _prefixes(n: int) -> list[tuple[int, ...]]:
@@ -183,8 +204,10 @@ def full_census(
 ) -> DistributionTable:
     """Distribution of parking probabilities at p = 1/2 over all n^n tuples.
 
-    n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) is allowed
-    with allow_large=True and takes one to two seconds; larger n is refused.
+    n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
+    (387420489 tuples) are allowed with allow_large=True and take about a
+    quarter second and about five seconds in one process; larger n is
+    refused.
     The sweep runs the layered transfer kernel once per two-car prefix and
     bincounts each prefix's choice counts, so the result is independent of
     the thread count: workers take whole prefixes and the histograms add.
@@ -408,11 +431,13 @@ def verify_odd_census(n: int) -> VerificationReport:
     staircase; the odd counts hit each of {1, 3, ..., 2^(n-1) - 1} exactly
     once; there are exactly 2^(n-2) staircases; and the closed form matches
     the swept count on every staircase. Findings map each odd numerator to
-    its unique tuple.
+    its unique tuple. A staircase starts with two equal cars, so only the n
+    chunks with prefix (a, a) are searched for staircases; on every other
+    chunk each odd count is a parity violation.
     """
-    if not 2 <= n <= CENSUS_DEFAULT_MAX_N:
+    if not 2 <= n <= ODD_CENSUS_MAX_N:
         raise ValueError(
-            f"the exhaustive odd-count sweep supports 2 <= n <= {CENSUS_DEFAULT_MAX_N}, got {n}"
+            f"the exhaustive odd-count sweep supports 2 <= n <= {ODD_CENSUS_MAX_N}, got {n}"
         )
     mats = _transfer_matrices(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
     # One row per tuple of a prefix chunk; the suffix columns are the same
@@ -428,10 +453,13 @@ def verify_odd_census(n: int) -> VerificationReport:
     for prefix in _prefixes(n):
         counts = _choice_counts(mats, prefix)
         digits[:, :2] = prefix
-        stair = _staircase_mask(digits)
         odd = (counts & 1).astype(bool)
-        parity_violations += int(np.count_nonzero(odd != stair))
-        staircase_total += int(np.count_nonzero(stair))
+        if prefix[0] == prefix[1]:
+            stair = _staircase_mask(digits)
+            parity_violations += int(np.count_nonzero(odd != stair))
+            staircase_total += int(np.count_nonzero(stair))
+        else:
+            parity_violations += int(np.count_nonzero(odd))
         for i in np.flatnonzero(odd):
             odd_map.setdefault(int(counts[i]), []).append(tuple(digits[i].tolist()))
 
@@ -507,11 +535,12 @@ def verify_monotonicity(
 
     Exhaustive over every (tuple, choice vector, set bit) for n <= 5; above
     that, seeded random sampling of the same triple space. The rule under
-    test is the k = 1 Naples branch. n below 2 or samples below 1 (even
-    where the sweep is exhaustive) raise ValueError.
+    test is the k = 1 Naples branch. n below 2, samples below 1 or a
+    negative seed (even where the sweep is exhaustive) raise ValueError.
     """
     _check_int(n, "car count n", 2)
     _check_int(samples, "samples", 1)
+    _check_int(seed, "seed", 0)
     nbits = n - 1
     violations = 0
     if n <= 5:

@@ -243,7 +243,9 @@ def table(n_max, k, p, fmt):
     envvar="PARKMODEL_THREADS",
     help="Worker processes; the result is identical for any value.",
 )
-@click.option("--allow-large", is_flag=True, help="Permit the n = 8 sweep.")
+@click.option(
+    "--allow-large", is_flag=True, help="Permit the n = 8 and n = 9 sweeps."
+)
 @format_option
 @_domain_errors
 def census(n, k, semantics, threads, allow_large, fmt):

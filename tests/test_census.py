@@ -90,7 +90,7 @@ class TestFullCensus:
         with pytest.raises(ValueError):
             full_census(8)
         with pytest.raises(ValueError):
-            full_census(9, allow_large=True)
+            full_census(10, allow_large=True)
         with pytest.raises(ValueError):
             full_census(0)
         with pytest.raises(ValueError):
@@ -144,6 +144,16 @@ class TestFullCensus:
         assert table.count_for(128) == parking_count(8)
         assert table.expectation() == expected_random_naples(8, 1, HALF)
 
+    @pytest.mark.slow
+    def test_nine_car_census_passes_its_self_checks(self):
+        # full_census raises RuntimeError unless the total, the full and zero
+        # counts and the expectation all match the recursions.
+        table = full_census(9, k=1, allow_large=True)
+        assert table.total() == 9**9
+        assert table.count_for(256) == parking_count(9)
+        assert table.count_for(0) == 9**9 - naples_count(9, 1)
+        assert table.expectation() == expected_random_naples(9, 1, HALF)
+
 
 class TestTransferKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -167,6 +177,23 @@ class TestTransferKernel:
         tuples = list(all_tuples(n))
         digits = np.array(tuples, dtype=np.int8)
         assert _staircase_mask(digits).tolist() == [is_staircase(t) for t in tuples]
+
+    def test_float32_exactness_bound_is_enforced_before_the_automaton(
+        self, monkeypatch
+    ):
+        built = []
+
+        def automaton(*args):
+            built.append(args[1])
+            raise LookupError("automaton reached")
+
+        monkeypatch.setattr(census, "_automaton", automaton)
+        with pytest.raises(ValueError, match="float32"):
+            _transfer_matrices(26, 1, JUMP)
+        assert built == []
+        with pytest.raises(LookupError, match="automaton reached"):
+            _transfer_matrices(25, 1, JUMP)
+        assert built == [25]
 
 
 class TestStaircaseShapes:
@@ -325,6 +352,30 @@ class TestVerifiers:
         assert report.passed
         assert len(report.findings) == 32
 
+    @pytest.mark.slow
+    def test_odd_census_eight_cars(self):
+        report = verify_odd_census(8)
+        assert report.passed
+        assert len(report.findings) == 64
+
+    @pytest.mark.parametrize("prefix", [(1, 2), (3, 3)])
+    def test_odd_census_catches_a_planted_odd_count(self, monkeypatch, prefix):
+        # (1, 2) holds no staircase and is never searched for one; (3, 3) is
+        # searched, and its row (3, 3, 1, 1, 1) is no staircase.
+        def planted(mats, chunk):
+            counts = _choice_counts(mats, chunk)
+            if chunk == prefix:
+                counts[0] |= 1
+            return counts
+
+        monkeypatch.setattr(census, "_choice_counts", planted)
+        report = verify_odd_census(5)
+        parity = report.checks[0]
+        assert parity.label == "odd count iff staircase"
+        assert not parity.passed
+        assert parity.detail == "3125 tuples swept, 1 violations"
+        assert not report.passed
+
     def test_sandwich(self):
         report = verify_sandwich(10)
         assert report.passed
@@ -341,6 +392,13 @@ class TestVerifiers:
         # A zero-flip run would otherwise report PASSED having checked nothing.
         with pytest.raises(ValueError, match="samples"):
             verify_monotonicity(n, samples=samples)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_monotonicity_rejects_a_negative_seed(self, n):
+        # random.Random(-5) draws what random.Random(5) draws, so -5 would
+        # check the flips of seed 5 while reporting seed -5.
+        with pytest.raises(ValueError, match="seed"):
+            verify_monotonicity(n, samples=10, seed=-5)
 
     def test_direction_total(self):
         report = verify_direction_total(4)
@@ -397,7 +455,7 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_odd_census(1)
         with pytest.raises(ValueError):
-            verify_odd_census(8)
+            verify_odd_census(9)
         with pytest.raises(ValueError):
             verify_sandwich(0)
         with pytest.raises(ValueError):

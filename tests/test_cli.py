@@ -189,7 +189,7 @@ class TestCensus:
         assert runner.invoke(main, ["census", "--n", "8"]).exit_code == 1
         assert (
             runner.invoke(
-                main, ["census", "--n", "9", "--allow-large"]
+                main, ["census", "--n", "10", "--allow-large"]
             ).exit_code
             == 1
         )
@@ -274,6 +274,15 @@ class TestVerify:
         result = runner.invoke(
             main,
             ["verify", "--check", "monotonicity", "--n", n, "--samples", samples],
+        )
+        assert result.exit_code == 1
+        assert "PASSED" not in result.output
+
+    def test_negative_seed_exits_one(self, runner):
+        result = runner.invoke(
+            main,
+            ["verify", "--check", "monotonicity", "--n", "6", "--samples", "50",
+             "--seed", "-5"],
         )
         assert result.exit_code == 1
         assert "PASSED" not in result.output
