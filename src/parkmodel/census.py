@@ -41,12 +41,11 @@ import numpy as np
 
 from .core import NaplesSemantics, _check_int, _park
 from .exact import (
+    _DIRECTION_RULE,
     Poly,
-    _branch_counts_to_poly,
-    _direction_backward,
-    _naples_backward,
+    _naples_rule,
     _point_weight,
-    _success_branch_counts,
+    _success_poly,
     parking_choice_count,
 )
 from .montecarlo import _automaton
@@ -100,6 +99,12 @@ class DistributionTable:
         return 1 << (self.n - 1)
 
     def count_for(self, numerator: int) -> int:
+        """Number of tuples that park with probability numerator / denominator."""
+        _check_int(numerator, "numerator", 0)
+        if numerator > self.denominator:
+            raise ValueError(
+                f"numerator must be <= {self.denominator}, got {numerator}"
+            )
         return self.counts[numerator]
 
     def total(self) -> int:
@@ -501,8 +506,7 @@ def verify_odd_census(n: int) -> VerificationReport:
 
 def verify_sandwich(n_max: int) -> VerificationReport:
     """Check parking_count <= expected (k=1, p=1/2) <= midpoint for n up to n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    _check_int(n_max, "n_max", 1)
     half = Fraction(1, 2)
     checks = []
     findings: dict = {}
@@ -584,17 +588,18 @@ DIRECTION_TOTAL_MAX_N = 7
 def verify_direction_total(n: int) -> VerificationReport:
     """Sum of random-direction parking probabilities is (n+1)^(n-1), exactly in p.
 
-    Sums the branch counts over every tuple in {1..n}^n at once (each car may
-    prefer every spot), assembles one polynomial, and compares it with the
-    constant the closed form predicts. This is the strongest desk check of
-    the expected-count identity for the direction model: it holds for all p.
+    Carries one polynomial per occupancy mask over every tuple in {1..n}^n
+    at once (each car may prefer every spot), sums them, and compares the
+    sum with the constant the closed form predicts. This is the strongest
+    desk check of the expected-count identity for the direction model: it
+    holds for all p.
     """
-    if not 1 <= n <= DIRECTION_TOTAL_MAX_N:
+    _check_int(n, "car count n", 1)
+    if n > DIRECTION_TOTAL_MAX_N:
         raise ValueError(
             f"the direction-total sweep supports 1 <= n <= {DIRECTION_TOTAL_MAX_N}, got {n}"
         )
-    counts = _success_branch_counts([range(1, n + 1)] * n, _direction_backward)
-    poly = _branch_counts_to_poly(counts, p_is_backward=False)
+    poly = _success_poly([range(1, n + 1)] * n, _DIRECTION_RULE)
     expected = Poly.constant((n + 1) ** (n - 1))
     checks = (
         CheckResult(
@@ -612,7 +617,7 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     For k = 1 they provably coincide (one step back is one spot). For k >= 2
     the counting recursion can only match one of them; this sweep compares
     each semantics' expected count (the sum of all n^n tuples' probabilities
-    at p = 1/2, one point step over every letter) against the recursion and
+    at p = 1/2, one point carry over every letter) against the recursion and
     reports which one agrees.
     Informational rows never fail; the k = 1 coincidence row does.
     """
@@ -622,10 +627,8 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     every = [range(1, n + 1)] * n
     sums = {}
     for semantics in NaplesSemantics:
-        backward = _naples_backward(k, semantics)
-        sums[semantics] = Fraction(
-            _point_weight(every, backward, True, 1, 2), 1 << (n - 1)
-        )
+        rule = _naples_rule(k, semantics)
+        sums[semantics] = Fraction(_point_weight(every, rule, 1, 2), 1 << (n - 1))
     recursion = expected_random_naples(n, k, Fraction(1, 2))
     if k == 1:
         checks = (

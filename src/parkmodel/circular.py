@@ -16,8 +16,8 @@ from itertools import product
 from typing import Sequence
 
 from .census import CheckResult, VerificationReport
-from .core import check_choice_bits, check_preferences
-from .exact import Poly, _branch_counts_to_poly, _park_all, prob_random_direction
+from .core import _check_int, check_choice_bits, check_preferences
+from .exact import _POLY_FACTORS, Poly, _park_all, prob_random_direction
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
 def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     """Exact empty-spot distribution with forward weight p, backward 1 - p.
 
-    Runs the graded transfer step car by car with the two ring scans as a
-    blocked car's moves. Each final mask leaves a different spot empty, and
-    its (forward flips, backward flips) counts expand into that spot's
-    polynomial.
+    Runs the exact step car by car, carrying a Poly per occupancy mask,
+    with the two ring scans as a blocked car's moves. Each final mask leaves
+    a different spot empty, and the Poly it carries is that spot's
+    probability.
     """
     n = len(prefs)
     ring = n + 1
@@ -110,9 +110,10 @@ def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
         return _scan(occ, a % ring + 1, 1, ring), _scan(occ, (a - 2) % ring + 1, -1, ring)
 
     per_spot = [Poly.zero()] * ring
-    for occ, grades in _park_all([(a,) for a in prefs], moves).items():
+    cars = [(a,) for a in prefs]
+    for occ, prob in _park_all(cars, moves, Poly.one(), _POLY_FACTORS).items():
         empty = (~occ & ((1 << ring) - 1)).bit_length()
-        per_spot[empty - 1] = _branch_counts_to_poly(grades, p_is_backward=False)
+        per_spot[empty - 1] = prob
     return EmptySpotDistribution(n, tuple(per_spot))
 
 
@@ -129,7 +130,8 @@ def verify_circular(n: int) -> VerificationReport:
     probability that spot n+1 stays empty equals the linear model's parking
     probability (the two scan rules part ways once a backward search wraps).
     """
-    if not 1 <= n <= CIRCULAR_SWEEP_MAX_N:
+    _check_int(n, "car count n", 1)
+    if n > CIRCULAR_SWEEP_MAX_N:
         raise ValueError(
             f"the circular sweep supports 1 <= n <= {CIRCULAR_SWEEP_MAX_N}, got {n}"
         )

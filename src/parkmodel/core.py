@@ -104,19 +104,21 @@ def _highest_free_upto(free: int, spot: int) -> int:
     return m.bit_length()
 
 
-def _naples_branch_spot(free: int, a: int, k: int, firstfit: bool) -> int:
-    """Landing spot of the backward branch of a Naples car blocked at a.
+def _backward_spot(free: int, a: int, naples: bool, k: int, firstfit: bool) -> int:
+    """Landing spot of a car blocked at a that takes the backward branch (bit 0).
 
-    Jump semantics: move to max(a-k, 1) and search forward from there.
-    First-fit semantics: try a-1, a-2, ..., max(a-k, 1) one at a time and
-    fall back to a forward search past a.  Returns 0 when the car fails.
+    Direction: a backward-only search a-1, a-2, ..., 1.  Naples with jump
+    semantics: move to max(a-k, 1) and search forward from there.  Naples
+    with first-fit semantics: try a-1, a-2, ..., max(a-k, 1) one at a time
+    and fall back to a forward search past a.  Returns 0 when the car fails.
     """
+    if not naples:
+        return _highest_free_upto(free, a - 1)
     start = a - k if a - k > 1 else 1
     if firstfit:
-        if a > 1:
-            window = free & ((1 << (a - 1)) - 1) & ~((1 << (start - 1)) - 1)
-            if window:
-                return window.bit_length()
+        window = free & ((1 << (a - 1)) - 1) & ~((1 << (start - 1)) - 1)
+        if window:
+            return window.bit_length()
         return _lowest_free_from(free, a + 1)
     return _lowest_free_from(free, start)
 
@@ -136,10 +138,8 @@ def _park(prefs, beta, naples, k, firstfit) -> list:
         if not free >> (s - 1) & 1:
             if beta >> (i - 2) & 1:
                 s = _lowest_free_from(free, s + 1)
-            elif naples:
-                s = _naples_branch_spot(free, s, k, firstfit)
             else:
-                s = _highest_free_upto(free, s - 1) if s > 1 else 0
+                s = _backward_spot(free, s, naples, k, firstfit)
             if not s:
                 break
         free ^= 1 << (s - 1)

@@ -2,71 +2,67 @@
 
 Both randomized rules flip one coin per blocked car, so the probability that
 a fixed preference tuple parks is a sum, over the successful choice vectors,
-of monomials p^a (1-p)^b.  It is built one car at a time over graded states
-{mask: {(fwd, bwd): count}}, which merge every choice-vector prefix that
-fills the same spots, so the work follows the reachable masks, not the 2^(n-1)
-vectors.  Expanding each monomial keeps everything in exact integer
-arithmetic; evaluation takes a Fraction and returns a Fraction.
+of products of p and 1 - p.  It is built one car at a time over occupancy
+masks, each carrying its Poly: a car multiplies the value by 1 when its spot
+is free (car 1 never meets a taken spot, so it has no coin), by p or by
+1 - p on the two branches of a blocked car, and states that fill the same
+spots add up.  So the work follows the reachable masks, not the 2^(n-1)
+choice vectors, and every step stays in exact integer arithmetic;
+evaluation takes a Fraction and returns a Fraction.
 
 Where only the value at one rational p = u/v is wanted, the same step
-carries one integer weight per mask instead of the graded counts (the point
-step, _point_weight): x v when the car's spot is free, x u on the p-branch,
-x (v - u) on the other.  The probability is the summed weight over v^(n-1);
-car 1 never meets a taken spot, so it has no coin.  At p = 1/2 the factors
-are 2/1/1 and the weight counts successful choice vectors, which is how
-parking_choice_count and prob_of_model_at avoid building a polynomial.
+carries one integer per mask instead (the point carry, _point_weight):
+x v when the car's spot is free, x u on the p-branch, x (v - u) on the
+other.  The probability is the summed weight over v^(n-1).  At p = 1/2 the
+factors are 2/1/1 and the weight counts successful choice vectors, which is
+how parking_choice_count and prob_of_model_at avoid building a polynomial.
+Letting a car prefer every spot at once gives the sum over all n^n tuples
+in the same one walk (_success_poly, _point_weight).
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
-the probability of the backward branch (bit 0).
+the probability of the backward branch (bit 0).  The backward branch itself
+is core._backward_spot, the landing rule the scalar walker uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import comb
 from typing import Sequence
 
 from .core import (
     NaplesSemantics,
     RandomModel,
+    _backward_spot,
     _check_int,
-    _naples_branch_spot,
-    _highest_free_upto,
     _lowest_free_from,
     check_preferences,
 )
-
-
-def _rational(p) -> Fraction:
-    """p as a Fraction; floats are rejected on purpose (0.1 is not 1/10)."""
-    if isinstance(p, float):
-        raise TypeError("evaluate wants a Fraction or int, not a float")
-    if isinstance(p, int) and not isinstance(p, bool):
-        return Fraction(p)
-    if not isinstance(p, Fraction):
-        raise TypeError(f"cannot evaluate at {p!r}")
-    return p
+from .recursions import as_fraction
 
 
 @dataclass(frozen=True)
 class Poly:
     """Polynomial in one variable with integer coefficients.
 
-    ``coeffs[i]`` multiplies p**i; the tuple is canonical (no trailing zeros,
-    and the zero polynomial is the empty tuple).
+    ``coeffs[i]`` multiplies p**i.  Any sequence of ints is stored as a
+    canonical tuple (no trailing zeros, and the zero polynomial is the empty
+    tuple), so equal polynomials compare and hash equal.  Multiplying by an
+    int scales the coefficients, which lets the exact step carry a Poly or
+    an int through the same ``value * factor``.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         c = self.coeffs
-        if c and c[-1] == 0:
-            while c and c[-1] == 0:
-                c = c[:-1]
-            object.__setattr__(self, "coeffs", tuple(c))
+        if type(c) is tuple and (not c or c[-1]):
+            return
+        c = tuple(c)
+        while c and c[-1] == 0:
+            c = c[:-1]
+        object.__setattr__(self, "coeffs", c)
 
     @staticmethod
     def zero() -> "Poly":
@@ -100,18 +96,27 @@ class Poly:
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly | int") -> "Poly":
+        """Product with a Poly, or with an int through scale."""
+        if isinstance(other, int):
+            return self.scale(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(())
+        if len(a) < len(b):
+            a, b = b, a
+        # One pass over the longer factor per coefficient of the shorter one.
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+        for j, cb in enumerate(b):
+            if cb:
+                for i, ca in enumerate(a, j):
+                    out[i] += ca * cb
         return Poly(tuple(out))
 
     def scale(self, c: int) -> "Poly":
+        """c times self; scale(1) is self itself, so a unit factor costs nothing."""
+        if c == 1:
+            return self
         return Poly(tuple(c * x for x in self.coeffs))
 
     def evaluate(self, p: Fraction) -> Fraction:
@@ -120,7 +125,7 @@ class Poly:
         Floats are rejected on purpose: the whole module exists to avoid
         rounding, and 0.1 is not 1/10.
         """
-        p = _rational(p)
+        p = as_fraction(p)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * p + c
@@ -149,41 +154,25 @@ class Poly:
         return out
 
 
-@lru_cache(maxsize=None)
-def _weight_poly(p_exp: int, q_exp: int) -> Poly:
-    """p**p_exp * (1-p)**q_exp expanded into the monomial basis."""
-    out = [0] * (p_exp + q_exp + 1)
-    for j in range(q_exp + 1):
-        out[p_exp + j] = (-1) ** j * comb(q_exp, j)
-    return Poly(tuple(out))
+# The (free spot, p-branch, (1 - p)-branch) factors of the polynomial carry.
+_POLY_FACTORS = (1, Poly((0, 1)), Poly((1, -1)))
 
 
-def _pour(states: dict, mask: int, grades: dict, shift: tuple[int, int]) -> None:
-    """Add grades, shifted by (forward, backward) flips, to the state at mask."""
-    dfwd, dbwd = shift
-    into = states.get(mask)
-    if into is None:
-        states[mask] = {(f + dfwd, b + dbwd): c for (f, b), c in grades.items()}
-        return
-    for (f, b), c in grades.items():
-        key = (f + dfwd, b + dbwd)
-        into[key] = into.get(key, 0) + c
+def _add(states: dict, mask: int, value) -> None:
+    """Add value into the state at mask."""
+    old = states.get(mask)
+    states[mask] = value if old is None else old + value
 
 
-def _pour_weight(states: dict, mask: int, weight: int, factor: int) -> None:
-    """Add weight, times the branch's factor, to the state at mask."""
-    states[mask] = states.get(mask, 0) + weight * factor
-
-
-def _park_car(states: dict, letters, moves, pour, steps) -> dict:
+def _park_car(states: dict, letters, moves, steps) -> dict:
     """Transfer step: park one more car in every state.
 
-    ``states`` maps an occupancy mask to its value; ``pour(new, mask, value,
-    step)`` adds a value carried by one branch into the next states, where
-    ``steps`` gives the (free spot, forward, backward) branches' step.  The
-    car prefers each spot in ``letters`` in turn and the results are summed,
-    so one spot advances one tuple and all n spots advance every tuple at
-    once.  A blocked car lands on the (forward, backward) spots
+    ``states`` maps an occupancy mask to its carried value, a Poly or an
+    int.  Each branch multiplies the value by its factor from ``steps`` =
+    (free spot, forward, backward) and adds the product into the next
+    state.  The car prefers each spot in ``letters`` in turn and the results
+    are summed, so one spot advances one tuple and all n spots advance every
+    tuple at once.  A blocked car lands on the (forward, backward) spots
     ``moves(occ, a)`` returns; 0 drops that branch.
     """
     free_step, fwd_step, bwd_step = steps
@@ -192,98 +181,77 @@ def _park_car(states: dict, letters, moves, pour, steps) -> dict:
         for a in letters:
             bit = 1 << (a - 1)
             if not occ & bit:
-                pour(new, occ | bit, value, free_step)
+                _add(new, occ | bit, value * free_step)
                 continue
             f, b = moves(occ, a)
             if f:
-                pour(new, occ | 1 << (f - 1), value, fwd_step)
+                _add(new, occ | 1 << (f - 1), value * fwd_step)
             if b:
-                pour(new, occ | 1 << (b - 1), value, bwd_step)
+                _add(new, occ | 1 << (b - 1), value * bwd_step)
     return new
 
 
-def _park_all(
-    cars, moves, start=None, pour=_pour, steps=((0, 0), (1, 0), (0, 1))
-) -> dict:
+def _park_all(cars, moves, one, steps) -> dict:
     """States after parking every car; cars[i] lists car i's letters.
 
-    The values are graded {(forward flips, backward flips): count} dicts by
-    default; pass a start value, pour and steps to carry another value (see
-    _point_weight).  Car 1 finds the lot empty and consults no coin, so it
-    lands on its spot with the start value.
+    Car 1 finds the lot empty and consults no coin, so it lands on each of
+    its letters with the value ``one``; _park_car advances the rest.
     """
-    if start is None:
-        start = {(0, 0): 1}
-    states = {1 << (a - 1): start for a in cars[0]}
+    states = {1 << (a - 1): one for a in cars[0]}
     for letters in cars[1:]:
-        states = _park_car(states, letters, moves, pour, steps)
+        states = _park_car(states, letters, moves, steps)
     return states
 
 
-def _direction_backward(free: int, a: int) -> int:
-    """Backward-only search of the random-direction rule; fails below spot 1."""
-    return _highest_free_upto(free, a - 1) if a > 1 else 0
+def _success_sum(cars, rule, one, factors):
+    """Carried value summed over every state after parking cars.
 
-
-def _success_states(cars, backward_spot, **carry) -> dict:
-    """States after parking cars (see _park_all for carry).
-
-    A blocked car searches forward past its spot, or lands on
-    ``backward_spot(free, a)`` (0 = the branch fails).
+    ``rule`` = (naples, k, firstfit) names the backward branch
+    (core._backward_spot); a blocked car otherwise searches forward past its
+    spot.  ``factors`` = (free spot, p-branch, (1 - p)-branch); the p-branch
+    is the forward one under direction and the backward one under Naples.
     """
+    naples, k, firstfit = rule
     full = (1 << len(cars)) - 1
 
     def moves(occ: int, a: int) -> tuple[int, int]:
         free = ~occ & full
-        return _lowest_free_from(free, a + 1), backward_spot(free, a)
+        return (
+            _lowest_free_from(free, a + 1),
+            _backward_spot(free, a, naples, k, firstfit),
+        )
 
-    return _park_all(cars, moves, **carry)
-
-
-def _success_branch_counts(cars, backward_spot) -> dict[tuple[int, int], int]:
-    """Count successful choice vectors by (forward flips, backward flips).
-
-    ``cars[i]`` lists the spots car i may prefer (see _park_car); the
-    branches are those of _success_states.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for grades in _success_states(cars, backward_spot).values():
-        for key, c in grades.items():
-            counts[key] = counts.get(key, 0) + c
-    return counts
+    free_f, p_f, q_f = factors
+    steps = (free_f, q_f, p_f) if naples else factors
+    # one * 0 is the zero of the carried kind: 0 or Poly.zero().
+    return sum(_park_all(cars, moves, one, steps).values(), one * 0)
 
 
-def _point_weight(cars, backward_spot, p_is_backward: bool, u: int, v: int) -> int:
+def _success_poly(cars, rule) -> Poly:
+    """Success probability in p, summed over the tuples cars spans."""
+    return _success_sum(cars, rule, Poly.one(), _POLY_FACTORS)
+
+
+def _point_weight(cars, rule, u: int, v: int) -> int:
     """v^(n-1) times the success probability at p = u/v, summed over the tuples.
 
-    The point step: each state carries one integer weight instead of a
-    graded count, multiplied by v when the car's spot is free (its coin is
-    not consulted), by u on the p-branch and by v - u on the other branch.
-    At p = 1/2 that is 2/1/1, so the weight counts successful choice vectors.
+    The point carry: each state carries one integer, multiplied by v when
+    the car's spot is free (its coin is not consulted), by u on the
+    p-branch and by v - u on the other branch.  At p = 1/2 that is 2/1/1,
+    so the weight counts successful choice vectors.
     """
-    steps = (v, v - u, u) if p_is_backward else (v, u, v - u)
-    states = _success_states(
-        cars, backward_spot, start=1, pour=_pour_weight, steps=steps
-    )
-    return sum(states.values())
+    return _success_sum(cars, rule, 1, (v, u, v - u))
 
 
-def _branch_counts_to_poly(counts, p_is_backward: bool) -> Poly:
-    total = Poly.zero()
-    for (fwd, bwd), mult in counts.items():
-        if p_is_backward:
-            w = _weight_poly(bwd, fwd)
-        else:
-            w = _weight_poly(fwd, bwd)
-        total = total + w.scale(mult)
-    return total
+# (naples, k, firstfit) of the random-direction rule; k and firstfit are unused.
+_DIRECTION_RULE = (False, 0, False)
 
 
-def _naples_backward(k: int, semantics: NaplesSemantics):
-    """backward_spot of the random k-Naples rule under semantics."""
+def _naples_rule(k: int, semantics: NaplesSemantics) -> tuple[bool, int, bool]:
+    """(naples, k, firstfit) of the random k-Naples rule, after checking k."""
     _check_int(k, "backward allowance k", 0)
     firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    return partial(_naples_branch_spot, k=k, firstfit=firstfit)
+    return True, k, firstfit
 
 
 def prob_random_direction(prefs: Sequence[int]) -> Poly:
@@ -293,8 +261,7 @@ def prob_random_direction(prefs: Sequence[int]) -> Poly:
     probability 1-p; the backward search fails below spot 1.
     """
     check_preferences(prefs, len(prefs))
-    counts = _success_branch_counts([(a,) for a in prefs], _direction_backward)
-    return _branch_counts_to_poly(counts, p_is_backward=False)
+    return _success_poly([(a,) for a in prefs], _DIRECTION_RULE)
 
 
 def prob_random_naples(
@@ -308,9 +275,7 @@ def prob_random_naples(
     plain forward search with probability 1-p.
     """
     check_preferences(prefs, len(prefs))
-    backward = _naples_backward(k, semantics)
-    counts = _success_branch_counts([(a,) for a in prefs], backward)
-    return _branch_counts_to_poly(counts, p_is_backward=True)
+    return _success_poly([(a,) for a in prefs], _naples_rule(k, semantics))
 
 
 def prob_of_model(
@@ -335,17 +300,17 @@ def prob_of_model_at(
 ) -> Fraction:
     """prob_of_model(prefs, model, k, semantics).evaluate(p), exactly.
 
-    Runs the point step at p = u/v (_point_weight), so no polynomial is
+    Runs the point carry at p = u/v (_point_weight), so no polynomial is
     built: the value is the summed weight over v^(n-1).  Any rational p is
     accepted, as by Poly.evaluate.
     """
     semantics = NaplesSemantics(semantics)
     direction = RandomModel(model) is RandomModel.DIRECTION
     check_preferences(prefs, len(prefs))
-    backward = _direction_backward if direction else _naples_backward(k, semantics)
-    p = _rational(p)
+    rule = _DIRECTION_RULE if direction else _naples_rule(k, semantics)
+    p = as_fraction(p)
     u, v = p.numerator, p.denominator
-    weight = _point_weight([(a,) for a in prefs], backward, not direction, u, v)
+    weight = _point_weight([(a,) for a in prefs], rule, u, v)
     return Fraction(weight, v ** (len(prefs) - 1))
 
 
@@ -357,11 +322,10 @@ def parking_choice_count(
     """Number of the 2**(n-1) choice vectors that park prefs (Naples branch).
 
     Equals 2**(n-1) times the Naples parking probability at p = 1/2, and is
-    counted directly by the point step at p = 1/2: a free spot doubles a
+    counted directly by the point carry at p = 1/2: a free spot doubles a
     state's weight and each landing branch keeps it.  The work follows the
     reachable occupancy masks with one integer each, so a 1000-car staircase
     takes milliseconds.
     """
     check_preferences(prefs, len(prefs))
-    backward = _naples_backward(k, semantics)
-    return _point_weight([(a,) for a in prefs], backward, True, 1, 2)
+    return _point_weight([(a,) for a in prefs], _naples_rule(k, semantics), 1, 2)

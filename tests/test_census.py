@@ -23,6 +23,7 @@ from parkmodel import (
     parking_choice_count,
     parking_count,
     prob_random_direction,
+    prob_random_naples,
     shape_of,
     staircase_choice_count,
     tuple_for_numerator,
@@ -33,8 +34,13 @@ from parkmodel import (
     verify_sandwich,
 )
 from parkmodel.census import _choice_counts, _staircase_mask, _transfer_matrices
-from parkmodel.core import _naples_branch_spot
-from parkmodel.exact import _direction_backward, _success_branch_counts
+from parkmodel.exact import (
+    _DIRECTION_RULE,
+    _POLY_FACTORS,
+    _naples_rule,
+    _point_weight,
+    _success_sum,
+)
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
 
@@ -74,6 +80,11 @@ class TestFullCensus:
         assert table.count_for(table.denominator) == parking_count(n)
         assert table.count_for(0) == n**n - naples_count(n, 1)
         assert table.expectation() == expected_random_naples(n, 1, HALF)
+
+    @pytest.mark.parametrize("numerator", [-1, 5, 1.5, True])
+    def test_count_for_rejects_numerators_outside_the_table(self, numerator):
+        with pytest.raises(ValueError):
+            full_census(3).count_for(numerator)
 
     def test_thread_count_does_not_change_the_result(self):
         assert full_census(5, threads=3) == full_census(5, threads=1)
@@ -441,15 +452,27 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_letter_step_sums_the_tuple_counts(self, n):
-        def jump2(free, a):
-            return _naples_branch_spot(free, a, 2, False)
-
-        for backward in (_direction_backward, jump2):
-            summed = Counter()
-            for t in all_tuples(n):
-                summed.update(_success_branch_counts([(a,) for a in t], backward))
-            every = [range(1, n + 1)] * n
-            assert _success_branch_counts(every, backward) == dict(summed)
+        every = [range(1, n + 1)] * n
+        free, p, q = _POLY_FACTORS
+        for rule in (_DIRECTION_RULE, _naples_rule(2, JUMP)):
+            for factors in ((free, p, q), (free, q, p)):
+                summed = Poly.zero()
+                for t in all_tuples(n):
+                    summed = summed + _success_sum(
+                        [(a,) for a in t], rule, Poly.one(), factors
+                    )
+                assert _success_sum(every, rule, Poly.one(), factors) == summed
+            if rule is _DIRECTION_RULE:
+                poly = sum(map(prob_random_direction, all_tuples(n)), Poly.zero())
+            else:
+                poly = sum(
+                    (prob_random_naples(t, 2) for t in all_tuples(n)), Poly.zero()
+                )
+            assert _success_sum(every, rule, Poly.one(), _POLY_FACTORS) == poly
+            for point in (HALF, Fraction(1, 3), Fraction(2), Fraction(-1, 3)):
+                u, v = point.numerator, point.denominator
+                weight = _point_weight(every, rule, u, v)
+                assert weight == v ** (n - 1) * poly.evaluate(point)
 
     def test_verifier_domain_errors(self):
         with pytest.raises(ValueError):
@@ -466,3 +489,8 @@ class TestVerifiers:
             compare_naples_semantics(7, 1)
         with pytest.raises(ValueError):
             compare_naples_semantics(3, 0)
+
+    @pytest.mark.parametrize("verifier", [verify_direction_total, verify_sandwich])
+    def test_verifiers_reject_a_bool_car_count(self, verifier):
+        with pytest.raises(ValueError, match="must be an integer"):
+            verifier(True)

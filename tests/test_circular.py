@@ -137,6 +137,8 @@ class TestVerifier:
             verify_circular(0)
         with pytest.raises(ValueError):
             verify_circular(5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify_circular(True)
 
 
 @st.composite

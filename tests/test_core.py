@@ -18,7 +18,7 @@ from parkmodel import (
     parking_count,
     parks_under_choices,
 )
-from parkmodel.core import _highest_free_upto, _lowest_free_from
+from parkmodel.core import _backward_spot, _highest_free_upto, _lowest_free_from
 
 from oracles import all_tuples, naive_replay
 
@@ -240,6 +240,28 @@ def test_bit_scans_match_linear_scans(free, spot):
     down = [s for s in range(spot, 0, -1) if free >> (s - 1) & 1]
     assert _lowest_free_from(free, spot) == (up[0] if up else 0)
     assert _highest_free_upto(free, spot) == (down[0] if down else 0)
+
+
+@given(
+    st.integers(0, (1 << 12) - 1),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 13),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_backward_spot_matches_linear_scans(free, a, naples, k, firstfit):
+    def first_free(spots):
+        return next((s for s in spots if free >> (s - 1) & 1), 0)
+
+    if not naples:
+        want = first_free(range(a - 1, 0, -1))
+    elif firstfit:
+        want = first_free(range(a - 1, max(a - k, 1) - 1, -1))
+        want = want or first_free(range(a + 1, 13))
+    else:
+        want = first_free(range(max(a - k, 1), 13))
+    assert _backward_spot(free, a, naples, k, firstfit) == want
 
 
 def test_invariant_checks_survive_optimized_mode():

@@ -38,6 +38,19 @@ class TestPolyAlgebra:
         assert Poly.constant(0) == Poly.zero()
         assert Poly.constant(5).coeffs == (5,)
 
+    def test_list_coefficients_are_stored_as_a_tuple(self):
+        assert Poly([1, 2]) == Poly((1, 2))
+        assert hash(Poly([1, 2])) == hash(Poly((1, 2)))
+        assert Poly([1, 2]).coeffs == (1, 2)
+
+    def test_int_factor_scales(self):
+        a = Poly((1, -2, 3))
+        assert a * 3 == a.scale(3) == Poly((3, -6, 9))
+        assert a * 0 == Poly.zero()
+        assert a * -1 == -a
+        assert a * 1 is a
+        assert a.scale(1) is a
+
     def test_degree_convention(self):
         assert Poly.zero().degree == -1
         assert Poly.one().degree == 0
