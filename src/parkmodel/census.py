@@ -18,6 +18,9 @@ the all-spot occupancy automaton of the Monte Carlo module
 (montecarlo._automaton), so the census lands a blocked car by the same rule
 as the simulation and the scalar walker core._park. Sweeps run one two-car
 prefix at a time, which bounds the largest matrix at n^(n-2) rows.
+numpy is imported inside the functions that build and multiply the
+matrices, not at module top, so the exact constructions and verifiers
+below, which need no array, start without paying for it.
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -30,14 +33,11 @@ count (exact.parking_choice_count).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core import NaplesSemantics, _check_int, _park
 from .exact import (
@@ -50,6 +50,9 @@ from .exact import (
 )
 from .montecarlo import _automaton
 from .recursions import expected_random_naples, naples_count, parking_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CENSUS_DEFAULT_MAX_N = 7
 CENSUS_HARD_MAX_N = 9
@@ -134,6 +137,8 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
     Every entry is therefore 0, 1 or 2. n above FLOAT32_EXACT_MAX_N raises
     ValueError before the automaton is built.
     """
+    import numpy as np
+
     if n > FLOAT32_EXACT_MAX_N:
         raise ValueError(
             f"census products are exact in float32 only for n <= "
@@ -174,6 +179,8 @@ def _choice_counts(mats: list, prefix: tuple[int, ...]) -> np.ndarray:
     _transfer_matrices refuses larger n. The counts are cast to int64 once,
     at the end, for bincount and the parity test.
     """
+    import numpy as np
+
     n = len(mats)
     states = np.ones((1, 1), dtype=np.float32)
     for mat, a in zip(mats, prefix):
@@ -193,6 +200,8 @@ def _census_histogram(
     n: int, k: int, semantics: NaplesSemantics, prefixes
 ) -> np.ndarray:
     """Histogram of choice counts over every tuple extending one of prefixes."""
+    import numpy as np
+
     mats = _transfer_matrices(n, k, semantics)
     hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
     for prefix in prefixes:
@@ -243,6 +252,12 @@ def full_census(
         tasks = [
             (n, k, semantics, prefixes[i : i + n]) for i in range(0, n * n, n)
         ]
+        # Load numpy before the pool forks, so that every worker inherits
+        # it instead of importing it again.
+        import multiprocessing
+
+        import numpy  # noqa: F401
+
         with multiprocessing.Pool(processes=threads) as pool:
             hist = sum(pool.starmap(_census_histogram, tasks, chunksize=1))
     else:
@@ -385,6 +400,8 @@ def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
     2^(n-1) - 2t (the closed-form inverse, O(n) at any n). The result is
     re-checked against the exact choice count before being returned.
     """
+    _check_int(n, "car count n")
+    _check_int(t, "t")
     if n < 2:
         raise ValueError(f"odd numerators need n >= 2, got {n}")
     if not 1 <= t <= 1 << (n - 2):
@@ -406,6 +423,8 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
     by s: every car on a spot of its own halves nothing and doubles the
     denominator. The result is re-checked against the exact choice count.
     """
+    _check_int(n, "car count n")
+    _check_int(a, "numerator")
     if n < 1:
         raise ValueError(f"car count n must be positive, got {n}")
     top = 1 << (n - 1)
@@ -440,10 +459,13 @@ def verify_odd_census(n: int) -> VerificationReport:
     chunks with prefix (a, a) are searched for staircases; on every other
     chunk each odd count is a parity violation.
     """
+    _check_int(n, "car count n")
     if not 2 <= n <= ODD_CENSUS_MAX_N:
         raise ValueError(
             f"the exhaustive odd-count sweep supports 2 <= n <= {ODD_CENSUS_MAX_N}, got {n}"
         )
+    import numpy as np
+
     mats = _transfer_matrices(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
     # One row per tuple of a prefix chunk; the suffix columns are the same
     # for every chunk, so only the two prefix columns are rewritten.
@@ -621,6 +643,7 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     reports which one agrees.
     Informational rows never fail; the k = 1 coincidence row does.
     """
+    _check_int(n, "car count n")
     if not 1 <= n <= 6:
         raise ValueError(f"the semantics sweep supports 1 <= n <= 6, got {n}")
     _check_int(k, "backward allowance k", 1)

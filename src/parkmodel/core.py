@@ -74,11 +74,15 @@ def check_preferences(prefs: Sequence[int], capacity: int) -> None:
             )
 
 
-def _check_int(value, name: str, minimum: int) -> None:
-    """Raise ValueError unless value is an int (bools excluded) >= minimum."""
+def _check_int(value, name: str, minimum: int | None = None) -> None:
+    """Raise ValueError unless value is an int (bools excluded) >= minimum.
+
+    With no minimum only the type is checked, for callers whose own range
+    check words the bound.
+    """
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 

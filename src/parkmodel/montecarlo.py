@@ -29,6 +29,10 @@ _parks_rows over a bool occupancy matrix instead. Both land a blocked car
 by _land, the rule of the scalar walker core._park, so the estimates equal
 those of a per-trial replay. The census builds its transfer matrices from
 the all-spot automaton too.
+
+numpy is imported inside each function that uses it, not at module top:
+the package and its CLI import this module for every command, and most
+commands never simulate.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import NaplesSemantics, RandomModel, _check_int, check_preferences
 from .recursions import as_fraction
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_TRIALS = 1 << 15
 
@@ -70,6 +75,8 @@ def _threshold(p: Fraction) -> int:
 
 
 def _generator(seed: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=(seed, chunk_index))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -79,6 +86,8 @@ def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
 
     At p = 0 or 1 every bit is the same, so nothing is drawn.
     """
+    import numpy as np
+
     if thr <= 0 or thr >= 1 << 64:
         return np.full(shape, (thr > 0) != naples)
     draws = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
@@ -88,12 +97,16 @@ def _event_bits(gen: np.random.Generator, shape: tuple, thr: int, naples: bool):
 
 def _first_true(cand: np.ndarray) -> np.ndarray:
     """Column of each row's first True, or -1 where the row has none."""
+    import numpy as np
+
     col = cand.argmax(axis=1)
     return np.where(cand[np.arange(len(cand)), col], col, -1)
 
 
 def _last_true(cand: np.ndarray) -> np.ndarray:
     """Column of each row's last True, or -1 where the row has none."""
+    import numpy as np
+
     col = _first_true(cand[:, ::-1])
     return np.where(col >= 0, cand.shape[1] - 1 - col, -1)
 
@@ -108,6 +121,8 @@ def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
     from a - k (Naples jump), or the last free column in the k-window below
     a, else the first past it (Naples firstfit). Each is a masked argmax.
     """
+    import numpy as np
+
     free = ~occ
     cols = np.arange(occ.shape[1])
     land = np.empty(len(a), dtype=np.int64)
@@ -133,6 +148,8 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
     occupancy matrix; a blocked row lands by _land, and a row drops out at
     its first failed car. Inputs unvalidated.
     """
+    import numpy as np
+
     rows, n = prefs.shape
     occ = np.zeros((rows, n), dtype=bool)
     live = np.arange(rows)
@@ -180,6 +197,8 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     in every reachable state consults no bit and keeps every state's index,
     so it needs no table; every car of the all-spot automaton has one.
     """
+    import numpy as np
+
     masks = np.zeros((1, n), dtype=bool)
     steps, cells, peak = [], 0, 1
     for i in range(n):
@@ -219,6 +238,8 @@ def _walk(auto: _Automaton, prefs, bits) -> np.ndarray:
     None for a fixed tuple, else the 1-based preferences (last axis) of
     rows broadcasting against bits' leading axes. Indices stay int32.
     """
+    import numpy as np
+
     state = np.zeros(bits.shape[:-1], dtype=np.int32)
     for i, table in auto.steps:
         if prefs is not None:
@@ -259,6 +280,8 @@ def estimate_prob(
     the same draws and give bit-identical results, equal to a per-trial
     replay of each drawn vector.
     """
+    import numpy as np
+
     n = len(prefs)
     prefs = tuple(prefs)
     check_preferences(prefs, n)
@@ -318,6 +341,8 @@ def estimate_expected_total(
     exact binomial form; otherwise it falls back to the sample variance of
     the per-tuple frequencies.
     """
+    import numpy as np
+
     _check_int(n, "car count n", 1)
     naples = RandomModel(model) is RandomModel.NAPLES
     firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD

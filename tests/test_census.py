@@ -1,14 +1,20 @@
 """Distribution census, staircase constructions, and the report verifiers."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parkmodel
 import parkmodel.census as census
 from parkmodel import (
     NaplesSemantics,
@@ -88,6 +94,25 @@ class TestFullCensus:
 
     def test_thread_count_does_not_change_the_result(self):
         assert full_census(5, threads=3) == full_census(5, threads=1)
+
+    def test_pool_opened_before_numpy_is_loaded(self):
+        """The pool workers of an interpreter that has not loaded numpy yet
+        sum to the one-process census."""
+        child = (
+            "import json, sys\n"
+            "from parkmodel import full_census\n"
+            "before = 'numpy' in sys.modules\n"
+            "print(json.dumps([before, full_census(5, threads=2).counts]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, counts = json.loads(proc.stdout)
+        assert before is False
+        assert tuple(counts) == full_census(5).counts
 
     def test_wider_backup_with_either_semantics(self):
         ff = full_census(4, k=2, semantics=FIRSTFIT)
@@ -281,6 +306,11 @@ class TestOddInverse:
         assert alpha == (12, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2)
         assert parking_choice_count(alpha) == 1
 
+    @pytest.mark.parametrize("n, t", [(3, True), (3.0, 1), (3, 1.0)])
+    def test_rejects_non_int_arguments(self, n, t):
+        with pytest.raises(ValueError, match="must be an integer"):
+            tuple_for_odd_numerator(n, t)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tuple_for_odd_numerator(1, 1)
@@ -339,6 +369,11 @@ class TestDyadicInverse:
             alpha = tuple_for_numerator(n, a)
             assert len(alpha) == n
             assert parking_choice_count(alpha) == a
+
+    @pytest.mark.parametrize("n, a", [(3, 2.0), (3.0, 2), (3, True)])
+    def test_rejects_non_int_arguments(self, n, a):
+        with pytest.raises(ValueError, match="must be an integer"):
+            tuple_for_numerator(n, a)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -489,6 +524,20 @@ class TestVerifiers:
             compare_naples_semantics(7, 1)
         with pytest.raises(ValueError):
             compare_naples_semantics(3, 0)
+
+    @pytest.mark.parametrize("n", [3.0, True])
+    def test_odd_census_rejects_a_non_int_car_count(self, n):
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify_odd_census(n)
+
+    def test_semantics_sweep_rejects_a_non_int_car_count(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("swept before checking n")
+
+        monkeypatch.setattr(census, "_point_weight", no_sweep)
+        for n in (1.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                compare_naples_semantics(n, 1)
 
     @pytest.mark.parametrize("verifier", [verify_direction_total, verify_sandwich])
     def test_verifiers_reject_a_bool_car_count(self, verifier):

@@ -464,3 +464,49 @@ def test_python_dash_m_runs_the_cli(runner, module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == runner.invoke(main, args).output
+
+
+_FRESH_CLI = """
+import contextlib, io, json, sys
+import parkmodel
+seen = {"click_after_package": "click" in sys.modules}
+import parkmodel.cli
+seen["heavy_after_cli"] = sorted({"numpy", "multiprocessing"} & set(sys.modules))
+for args in json.loads(sys.argv[1]):
+    parkmodel.cli.main(args, standalone_mode=False)
+seen["numpy_after_exact"] = "numpy" in sys.modules
+seen["outputs"] = []
+for args in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        parkmodel.cli.main(args, standalone_mode=False)
+    seen["outputs"].append(out.getvalue())
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_loads_only_for_array_subcommands(runner):
+    """Importing the CLI loads neither numpy nor multiprocessing; the exact
+    subcommands never load numpy, and the array subcommands print the same
+    bytes in an interpreter that loads numpy on first use."""
+    exact = [
+        ["prob", "--alpha", "2,2,2", "--model", "naples"],
+        ["construct", "--n", "22", "--t", "1048575"],
+        ["verify", "--check", "theorem2", "--n", "5"],
+    ]
+    arrays = [
+        ["census", "--n", "4", "--format", "json"],
+        ["mc", "--alpha", "1,1,2", "--model", "naples", "--trials", "100",
+         "--format", "json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_CLI, json.dumps(exact), json.dumps(arrays)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["click_after_package"] is False
+    assert seen["heavy_after_cli"] == []
+    assert seen["numpy_after_exact"] is False
+    assert seen["outputs"] == [runner.invoke(main, args).output for args in arrays]
