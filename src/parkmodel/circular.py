@@ -16,7 +16,13 @@ from itertools import product
 from typing import Sequence
 
 from .census import CheckResult, VerificationReport
-from .core import _check_int, check_choice_bits, check_preferences
+from .core import (
+    _check_int,
+    _highest_free_upto,
+    _lowest_free_from,
+    check_choice_bits,
+    check_preferences,
+)
 from .exact import _POLY_FACTORS, Poly, _park_all, prob_random_direction
 
 
@@ -43,6 +49,7 @@ class EmptySpotDistribution:
             raise ValueError("empty-spot probabilities do not sum to 1")
 
     def prob_for_spot(self, spot: int) -> Poly:
+        _check_int(spot, "spot")
         if not 1 <= spot <= self.n + 1:
             raise ValueError(f"spot must lie in 1..{self.n + 1}, got {spot}")
         return self.probs[spot - 1]
@@ -58,17 +65,27 @@ class EmptySpotDistribution:
 def shift_preferences(prefs: Sequence[int]) -> tuple[int, ...]:
     """Add 1 to every preference, wrapping n+1 around to 1."""
     ring = len(prefs) + 1
+    check_preferences(prefs, ring)
     return tuple(a % ring + 1 for a in prefs)
 
 
-def _scan(occ: int, start: int, step: int, ring: int) -> int:
-    """First free spot at or cyclically after start, walking by step (+1/-1)."""
-    s = start
-    for _ in range(ring):
-        if not occ & (1 << (s - 1)):
-            return s
-        s = (s - 1 + step) % ring + 1
-    raise RuntimeError("a full ring has no free spot; caller broke the invariant")
+def _ring_moves(ring: int):
+    """The (forward, backward) landing spots of a car blocked on the ring.
+
+    Forward takes the first free spot past a, wrapping round to spot 1;
+    backward the first free spot below a, wrapping round to spot ring. The
+    ring always keeps a free spot, so both exist.
+    """
+    full = (1 << ring) - 1
+
+    def moves(occ: int, a: int) -> tuple[int, int]:
+        free = ~occ & full
+        return (
+            _lowest_free_from(free, a + 1) or _lowest_free_from(free, 1),
+            _highest_free_upto(free, a - 1) or _highest_free_upto(free, ring),
+        )
+
+    return moves
 
 
 def circular_park(prefs: Sequence[int], beta: int) -> int:
@@ -81,17 +98,13 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
     ring = n + 1
     check_preferences(prefs, ring)
     check_choice_bits(beta, n)
+    moves = _ring_moves(ring)
     occ = 0
     for i, a in enumerate(prefs, start=1):
-        bit = 1 << (a - 1)
-        if not occ & bit:
-            occ |= bit
-            continue
-        step = 1 if beta >> (i - 2) & 1 else -1
-        s = _scan(occ, (a - 1 + step) % ring + 1, step, ring)
-        occ |= 1 << (s - 1)
-    empty = (~occ & ((1 << ring) - 1)).bit_length()
-    return empty
+        if occ >> (a - 1) & 1:
+            a = moves(occ, a)[0 if beta >> (i - 2) & 1 else 1]
+        occ |= 1 << (a - 1)
+    return (~occ & ((1 << ring) - 1)).bit_length()
 
 
 def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
@@ -105,13 +118,10 @@ def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     n = len(prefs)
     ring = n + 1
     check_preferences(prefs, ring)
-
-    def moves(occ: int, a: int) -> tuple[int, int]:
-        return _scan(occ, a % ring + 1, 1, ring), _scan(occ, (a - 2) % ring + 1, -1, ring)
-
     per_spot = [Poly.zero()] * ring
     cars = [(a,) for a in prefs]
-    for occ, prob in _park_all(cars, moves, Poly.one(), _POLY_FACTORS).items():
+    states = _park_all(cars, _ring_moves(ring), Poly.one(), _POLY_FACTORS)
+    for occ, prob in states.items():
         empty = (~occ & ((1 << ring) - 1)).bit_length()
         per_spot[empty - 1] = prob
     return EmptySpotDistribution(n, tuple(per_spot))

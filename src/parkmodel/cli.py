@@ -103,9 +103,12 @@ def _echo(text: str, nl: bool = True) -> None:
     click.echo(text, file=sys.stdout, nl=nl)
 
 
-def _emit(fmt: str, meta: dict, header: list, rows: list, text_lines: list) -> None:
+def _emit(fmt: str, meta: dict, header: list, rows: list, text_lines: list,
+          json_rows: list | None = None, **extra) -> None:
+    """Print rows in fmt; JSON prints json_rows when given, then the extra keys."""
     if fmt == "json":
-        _echo(json.dumps({"meta": meta, "rows": rows}, indent=2))
+        payload = {"meta": meta, "rows": rows if json_rows is None else json_rows}
+        _echo(json.dumps({**payload, **extra}, indent=2))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -165,18 +168,14 @@ def prob(alpha, model, k, semantics, p, fmt):
     if p is None:
         poly = prob_of_model(alpha, model, k=k, semantics=semantics)
         coeffs = list(poly.coeffs)
-        if fmt == "json":
-            payload = {"meta": meta, "rows": [{"coeffs": coeffs}]}
-            _echo(json.dumps(payload, indent=2))
-        else:
-            rows = [{"degree": d, "coefficient": c} for d, c in enumerate(coeffs)]
-            _emit(
-                fmt,
-                meta,
-                ["degree", "coefficient"],
-                rows,
-                [f"alpha = ({alpha_text})", f"P(parks) = {poly}"],
-            )
+        _emit(
+            fmt,
+            meta,
+            ["degree", "coefficient"],
+            [{"degree": d, "coefficient": c} for d, c in enumerate(coeffs)],
+            [f"alpha = ({alpha_text})", f"P(parks) = {poly}"],
+            json_rows=[{"coeffs": coeffs}],
+        )
     else:
         value = prob_of_model_at(alpha, model, p, k=k, semantics=semantics)
         row = {"value": _frac(value), "decimal": float(value)}
@@ -304,13 +303,10 @@ def verify(ctx, check, n, samples, seed, fmt):
     ]
     text.append(f"{report.name}: {'PASSED' if report.passed else 'FAILED'}")
     meta = _meta(seed=seed, check=check, n=n, samples=samples)
-    if fmt == "json":
-        payload = {"meta": meta, "rows": rows, "passed": report.passed}
-        if report.findings is not None:
-            payload["findings"] = {str(k): v for k, v in report.findings.items()}
-        _echo(json.dumps(payload, indent=2))
-    else:
-        _emit(fmt, meta, ["label", "passed", "detail"], rows, text)
+    extra = {"passed": report.passed}
+    if report.findings is not None:
+        extra["findings"] = {str(k): v for k, v in report.findings.items()}
+    _emit(fmt, meta, ["label", "passed", "detail"], rows, text, **extra)
     if not report.passed:
         ctx.exit(1)
 
@@ -433,21 +429,14 @@ def construct(n, t, a, fmt):
         "numerator": numerator,
         "denominator": 1 << (n - 1),
     }
-    meta = _meta(n=n, t=t, a=a)
-    if fmt == "json":
-        payload = {
-            "meta": meta,
-            "rows": [
-                {
-                    "alpha": list(alpha),
-                    "numerator": numerator,
-                    "denominator": 1 << (n - 1),
-                }
-            ],
-        }
-        _echo(json.dumps(payload, indent=2))
-    else:
-        _emit(fmt, meta, ["alpha", "numerator", "denominator"], [row], [alpha_text])
+    _emit(
+        fmt,
+        _meta(n=n, t=t, a=a),
+        ["alpha", "numerator", "denominator"],
+        [row],
+        [alpha_text],
+        json_rows=[{**row, "alpha": list(alpha)}],
+    )
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Seeded simulation of both models for cross-checking the exact machinery.
 
+Both estimators run one chunk loop (_estimate): a fixed tuple is the case
+that draws no tuples, and estimate_expected_total draws each sample's
+tuple before its branch bits.
+
 Reproducibility scheme: trials are processed in fixed chunks of 2**15, and
 chunk c of a run seeded with s draws from Philox keyed by SeedSequence
 entropy (s, c). For 0 < p < 1 each trial consumes exactly n - 1 branch
@@ -8,10 +12,9 @@ draws, one per car 2..n, whether or not that car hits a conflict
 enumeration); at p = 0 or 1 every bit is fixed and none is drawn. The bits
 are a chunk's last draws, so skipping them moves no other draw, and results
 depend only on (inputs, seed, trial count), never on scheduling. A branch
-draw is one
-uint64 u; the p-weighted event fires when u < floor(p * 2**64), which is
-exact whenever p has a power-of-two denominator (every table-relevant case)
-and off by under 2**-64 otherwise.
+draw is one uint64 u; the p-weighted event fires when u < floor(p * 2**64),
+which is exact whenever p has a power-of-two denominator (every
+table-relevant case) and off by under 2**-64 otherwise.
 
 The p-weighted event is the model's coin as the models define it: under the
 random-direction rule it is the forward branch, under the random Naples
@@ -261,6 +264,84 @@ def _stats(auto, rng_chunks: int, rows_walked: int) -> dict:
     }
 
 
+def _rule(model: RandomModel, k: int, semantics: NaplesSemantics) -> tuple:
+    """(naples, k, firstfit) of a model, after checking each argument."""
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
+    _check_int(k, "backward allowance k", 0)
+    return naples, k, firstfit
+
+
+def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
+    """The chunk loop of both estimators: mean over samples of the parking frequency.
+
+    prefs is the fixed tuple, or None to draw each sample's tuple. Chunk c
+    draws its tuples (when drawn) and then its (rows, per_sample, n-1)
+    branch bits from the stream keyed (seed, c), and walks them through the
+    occupancy automaton, or replays them when that is too large. With one
+    walk per sample the observations are Bernoulli, successes are counted
+    as an int and the stderr uses the exact binomial form; otherwise it
+    falls back to the sample variance of the per-sample frequencies.
+    """
+    import numpy as np
+
+    _check_int(seed, "seed", 0)
+    p = as_fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+    naples, k, firstfit = rule
+    nbits = n - 1
+    thr = _threshold(p)
+    chunk_rows = min(CHUNK_TRIALS, samples) * per_sample
+    auto = _automaton(prefs, n, naples, k, firstfit, chunk_rows * n)
+
+    total = 0
+    total_sq = 0.0
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        rows = min(CHUNK_TRIALS, samples - done)
+        gen = _generator(seed, chunk_index)
+        if prefs is None:
+            tuples = gen.integers(1, n + 1, size=(rows, 1, n), dtype=np.int64)
+        else:
+            tuples = np.array(prefs)
+        bits = _event_bits(gen, (rows, per_sample, nbits), thr, naples)
+        if auto is not None:
+            parked = _walk(auto, tuples if prefs is None else None, bits)
+        else:
+            flat = rows * per_sample
+            parked = _parks_rows(
+                np.broadcast_to(tuples, (rows, per_sample, n)).reshape(flat, n),
+                bits.reshape(flat, nbits),
+                naples,
+                k,
+                firstfit,
+            ).reshape(rows, per_sample)
+        if per_sample == 1:
+            total += int(parked.sum())
+        else:
+            frac = parked.sum(axis=1) / per_sample
+            # Left-to-right running sums, as a per-sample loop would add them;
+            # np.sum's pairwise order could change the last bits.
+            total = float(np.add.accumulate(np.append(total, frac))[-1])
+            total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
+        done += rows
+        chunk_index += 1
+
+    mean = total / samples
+    if per_sample == 1:
+        stderr = sqrt(mean * (1.0 - mean) / samples)
+    elif samples > 1:
+        var = (total_sq - total * total / samples) / (samples - 1)
+        stderr = sqrt(max(var, 0.0) / samples)
+    else:
+        stderr = 0.0
+    stats = _stats(auto, chunk_index, samples * per_sample)
+    return McEstimate(mean=mean, stderr=stderr, trials=samples, seed=seed, stats=stats)
+
+
 def estimate_prob(
     prefs: Sequence[int],
     model: RandomModel,
@@ -280,45 +361,11 @@ def estimate_prob(
     the same draws and give bit-identical results, equal to a per-trial
     replay of each drawn vector.
     """
-    import numpy as np
-
-    n = len(prefs)
     prefs = tuple(prefs)
-    check_preferences(prefs, n)
-    naples = RandomModel(model) is RandomModel.NAPLES
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    _check_int(k, "backward allowance k", 0)
+    check_preferences(prefs, len(prefs))
+    rule = _rule(model, k, semantics)
     _check_int(trials, "trials", 1)
-    _check_int(seed, "seed", 0)
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-
-    nbits = n - 1
-    thr = _threshold(p)
-    auto = _automaton(prefs, n, naples, k, firstfit, min(CHUNK_TRIALS, trials) * n)
-
-    successes = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        rows = min(CHUNK_TRIALS, trials - done)
-        gen = _generator(seed, chunk_index)
-        bits = _event_bits(gen, (rows, nbits), thr, naples)
-        if auto is not None:
-            parked = _walk(auto, None, bits)
-        else:
-            parked = _parks_rows(
-                np.broadcast_to(np.array(prefs), (rows, n)), bits, naples, k, firstfit
-            )
-        successes += int(parked.sum())
-        done += rows
-        chunk_index += 1
-
-    mean = successes / trials
-    stderr = sqrt(mean * (1.0 - mean) / trials)
-    stats = _stats(auto, chunk_index, trials)
-    return McEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, stats=stats)
+    return _estimate(prefs, len(prefs), rule, p, trials, 1, seed)
 
 
 def estimate_expected_total(
@@ -336,65 +383,10 @@ def estimate_expected_total(
     Scaling mean by n**n estimates the expected number of tuples that park.
     Each chunk draws its tuples first, then its branch bits, from the same
     chunk-keyed stream, and walks them through the all-spot automaton (or
-    replays them when that is too large, as in estimate_prob). With one
-    trial per tuple the observations are Bernoulli and the stderr uses the
-    exact binomial form; otherwise it falls back to the sample variance of
-    the per-tuple frequencies.
+    replays them when that is too large, as in estimate_prob).
     """
-    import numpy as np
-
     _check_int(n, "car count n", 1)
-    naples = RandomModel(model) is RandomModel.NAPLES
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    _check_int(k, "backward allowance k", 0)
+    rule = _rule(model, k, semantics)
     _check_int(tuple_samples, "tuple_samples", 1)
     _check_int(trials_per_tuple, "trials_per_tuple", 1)
-    _check_int(seed, "seed", 0)
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-
-    nbits = n - 1
-    thr = _threshold(p)
-    chunk_rows = min(CHUNK_TRIALS, tuple_samples) * trials_per_tuple
-    auto = _automaton(None, n, naples, k, firstfit, chunk_rows * n)
-
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < tuple_samples:
-        rows = min(CHUNK_TRIALS, tuple_samples - done)
-        gen = _generator(seed, chunk_index)
-        tuples = gen.integers(1, n + 1, size=(rows, n), dtype=np.int64)
-        bits = _event_bits(gen, (rows, trials_per_tuple, nbits), thr, naples)
-        if auto is not None:
-            parked = _walk(auto, tuples[:, None, :], bits)
-        else:
-            parked = _parks_rows(
-                np.repeat(tuples, trials_per_tuple, axis=0),
-                bits.reshape(rows * trials_per_tuple, nbits),
-                naples,
-                k,
-                firstfit,
-            ).reshape(rows, trials_per_tuple)
-        frac = parked.sum(axis=1) / trials_per_tuple
-        # Left-to-right running sums, as a per-tuple loop would add them;
-        # np.sum's pairwise order could change the last bits.
-        total = float(np.add.accumulate(np.append(total, frac))[-1])
-        total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
-        done += rows
-        chunk_index += 1
-
-    mean = total / tuple_samples
-    if trials_per_tuple == 1:
-        stderr = sqrt(mean * (1.0 - mean) / tuple_samples)
-    elif tuple_samples > 1:
-        var = (total_sq - total * total / tuple_samples) / (tuple_samples - 1)
-        stderr = sqrt(max(var, 0.0) / tuple_samples)
-    else:
-        stderr = 0.0
-    stats = _stats(auto, chunk_index, tuple_samples * trials_per_tuple)
-    return McEstimate(
-        mean=mean, stderr=stderr, trials=tuple_samples, seed=seed, stats=stats
-    )
+    return _estimate(None, n, rule, p, tuple_samples, trials_per_tuple, seed)

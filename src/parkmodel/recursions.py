@@ -1,9 +1,16 @@
-"""Exact evaluation of the counting recursions behind both models.
+"""Exact evaluation of the counting recursion behind both models.
 
 Everything here is big-integer or Fraction arithmetic; no floats enter or
-leave. The three families share one convolution skeleton: condition on the
-spot where the last car ends up, split the lot into the i spots left of it
-and the n-i-1 spots right of it, and multiply the ways each side fills.
+leave. One convolution recursion gives every count: condition on the spot
+where the last car ends up, split the lot into the i spots left of it and
+the n-i-1 spots right of it, and multiply the ways each side fills by the
+weight of the last car's preferences, i + 1 + p * min(k, n-i-1): the i + 1
+spots at or left of its landing spot, plus up to k spots right of it, from
+which it backs up with probability p. Read at p = 0 it counts classic
+parking functions (k drops out), at p = 1 the k-Naples parking functions
+of Christensen, Harris et al. (Electron. J. Combin. 27, 2020), and at a
+rational p in between it is the expected number of tuples that park under
+the random k-Naples rule.
 
 The right side is a classic forward-only lot of n-i-1 cars on n-i-1 spots,
 contributing (n-i)**(n-i-2) preference tuples; at i = n-1 that expression
@@ -41,57 +48,16 @@ def as_fraction(p) -> Fraction:
     raise TypeError(f"p must be a Fraction or int, got {p!r}")
 
 
-@lru_cache(maxsize=None)
-def _parking_count_rec(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(
-        comb(n - 1, i)
-        * _parking_count_rec(i)
-        * _cluster_factor(n - i)
-        * (i + 1)
-        for i in range(n)
-    )
+@lru_cache(maxsize=None, typed=True)
+def _expected_naples_rec(n: int, k: int, p):
+    """Expected parking count of n cars, an int for int p and a Fraction otherwise.
 
-
-def parking_count(n: int) -> int:
-    """Number of classic parking functions of length n, (n+1)**(n-1).
-
-    The convolution recursion is evaluated too and must agree, so the closed
-    form and the recursion cross-check each other on every call.
+    typed=True keeps int and Fraction arguments apart: Fraction(1) == 1 and
+    both hash alike, so an untyped cache could hand a Fraction to an int
+    count.
     """
-    _check_int(n, "car count n", 1)
-    closed = (n + 1) ** (n - 1)
-    recursed = _parking_count_rec(n)
-    if recursed != closed:
-        raise RuntimeError(f"parking recursion disagrees at n={n}")
-    return closed
-
-
-@lru_cache(maxsize=None)
-def _naples_count_rec(n: int, k: int) -> int:
     if n == 0:
         return 1
-    return sum(
-        comb(n - 1, i)
-        * _naples_count_rec(i, k)
-        * _cluster_factor(n - i)
-        * (i + 1 + min(k, n - i - 1))
-        for i in range(n)
-    )
-
-
-def naples_count(n: int, k: int = 1) -> int:
-    """Number of k-Naples parking functions of length n, by recursion."""
-    _check_int(n, "car count n", 1)
-    _check_int(k, "backward allowance k", 0)
-    return _naples_count_rec(n, k)
-
-
-@lru_cache(maxsize=None)
-def _expected_naples_rec(n: int, k: int, p: Fraction) -> Fraction:
-    if n == 0:
-        return Fraction(1)
     return sum(
         comb(n - 1, i)
         * _expected_naples_rec(i, k, p)
@@ -101,11 +67,31 @@ def _expected_naples_rec(n: int, k: int, p: Fraction) -> Fraction:
     )
 
 
+def parking_count(n: int) -> int:
+    """Number of classic parking functions of length n, (n+1)**(n-1).
+
+    The recursion at p = 0 is evaluated too and must agree, so the closed
+    form and the recursion cross-check each other on every call.
+    """
+    _check_int(n, "car count n", 1)
+    closed = (n + 1) ** (n - 1)
+    if _expected_naples_rec(n, 0, 0) != closed:
+        raise RuntimeError(f"parking recursion disagrees at n={n}")
+    return closed
+
+
+def naples_count(n: int, k: int = 1) -> int:
+    """Number of k-Naples parking functions of length n: the recursion at p = 1."""
+    _check_int(n, "car count n", 1)
+    _check_int(k, "backward allowance k", 0)
+    return _expected_naples_rec(n, k, 1)
+
+
 def expected_random_naples(n: int, k: int, p) -> Fraction:
     """Expected number of n-tuples that park under the random k-Naples rule.
 
     Exact rational for exact rational p; p = 0 collapses to parking_count
-    and p = 1 to naples_count.
+    and p = 1 to naples_count, as values (the result is always a Fraction).
     """
     _check_int(n, "car count n", 1)
     _check_int(k, "backward allowance k", 0)

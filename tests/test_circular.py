@@ -97,6 +97,12 @@ class TestEmptySpotDistribution:
         with pytest.raises(ValueError):
             empty_spot_distribution((1, 1)).prob_for_spot(4)
 
+    @pytest.mark.parametrize("spot", [True, 1.0, "1"])
+    def test_non_integer_spot_is_rejected(self, spot):
+        dist = empty_spot_distribution((1, 1))
+        with pytest.raises(ValueError, match="spot must be an integer"):
+            dist.prob_for_spot(spot)
+
 
 class TestShiftPreferences:
     def test_examples(self):
@@ -110,6 +116,11 @@ class TestShiftPreferences:
         for _ in range(len(prefs) + 1):
             out = shift_preferences(out)
         assert out == prefs
+
+    @pytest.mark.parametrize("prefs", [(7,), (0,), (True, 1), (), (1, 2.0)])
+    def test_rejects_preferences_off_the_ring(self, prefs):
+        with pytest.raises(ValueError):
+            shift_preferences(prefs)
 
 
 class TestAgainstLinearModel:

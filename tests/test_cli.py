@@ -149,6 +149,13 @@ class TestTable:
         for row in json.loads(result.output)["rows"]:
             assert row["expected"] == f"{row['naples']}/1"
 
+    def test_p_one_json_after_int_counts(self, runner):
+        result = runner.invoke(
+            main, ["table", "--n-max", "3", "--p", "1", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert [row["naples"] for row in json.loads(result.output)["rows"]] == [1, 4, 24]
+
     def test_text_has_header(self, runner):
         result = runner.invoke(main, ["table", "--n-max", "2"])
         assert result.exit_code == 0

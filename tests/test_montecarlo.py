@@ -304,6 +304,40 @@ class TestValidation:
         with pytest.raises(ValueError):
             estimate_expected_total(0, RandomModel.NAPLES)
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"k": -1}, "backward allowance k must be >= 0, got -1"),
+            ({"k": 1.0}, "backward allowance k must be an integer, got 1.0"),
+            ({"p": Fraction(5, 4)}, "p must lie in [0, 1], got 5/4"),
+            ({"p": -1}, "p must lie in [0, 1], got -1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": True}, "seed must be an integer, got True"),
+        ],
+    )
+    def test_shared_argument_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as prob_err:
+            estimate_prob((1, 1), RandomModel.NAPLES, trials=10, **kwargs)
+        with pytest.raises(ValueError) as total_err:
+            estimate_expected_total(2, RandomModel.NAPLES, tuple_samples=10, **kwargs)
+        assert str(prob_err.value) == str(total_err.value) == message
+
+    @pytest.mark.parametrize(
+        "estimator,args,kwargs,message",
+        [
+            (estimate_prob, ((1, 1),), {"trials": 0}, "trials must be >= 1, got 0"),
+            (estimate_expected_total, (2,), {"tuple_samples": 0},
+             "tuple_samples must be >= 1, got 0"),
+            (estimate_expected_total, (2,), {"trials_per_tuple": 0},
+             "trials_per_tuple must be >= 1, got 0"),
+            (estimate_expected_total, (0,), {}, "car count n must be >= 1, got 0"),
+        ],
+    )
+    def test_sample_count_messages(self, estimator, args, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            estimator(*args, RandomModel.NAPLES, **kwargs)
+        assert str(err.value) == message
+
 
 class TestMoreThan64Cars:
     """Choice vectors wider than 64 bits must not wrap; bit j is car j + 2."""

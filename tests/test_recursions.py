@@ -168,3 +168,13 @@ class TestValidation:
     def test_fraction_coercion(self):
         assert as_fraction(1) == Fraction(1)
         assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
+
+
+def test_counts_stay_int_after_expected_values_at_the_endpoints():
+    # Fraction(1) == 1 and both hash alike, so the shared recursion's cache
+    # must keep the Fraction runs apart from the int counts.
+    assert expected_random_naples(5, 2, 1) == naples_count(5, 2)
+    assert expected_random_naples(5, 0, 0) == parking_count(5)
+    assert type(naples_count(5, 2)) is int
+    assert type(parking_count(5)) is int
+    assert type(expected_random_naples(5, 2, 1)) is Fraction
