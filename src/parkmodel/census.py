@@ -13,11 +13,13 @@ n^d prefixes form one (n^d, C(n, d)) matrix, and one product with a
 per-depth transfer matrix parks the next car under every letter at once
 (the transfer-matrix form of the occupancy discipline). The products run
 in float32 through BLAS; every weight is an integer of at most 2^(n-1), so
-they are exact (see _choice_counts). The transfer matrices are read off
+they are exact (see _sweep). The transfer matrices are read off
 the all-spot occupancy automaton of the Monte Carlo module
 (montecarlo._automaton), so the census lands a blocked car by the same rule
 as the simulation and the scalar walker core._park. Sweeps run one two-car
-prefix at a time, which bounds the largest matrix at n^(n-2) rows.
+prefix at a time, which bounds the largest matrix at n^(n-2) rows; the
+product and count buffers are allocated once per sweep and every prefix
+overwrites them.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -161,13 +163,18 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
     return mats
 
 
-def _choice_counts(mats: list, prefix: tuple[int, ...]) -> np.ndarray:
-    """Successful choice-vector counts of every tuple that extends prefix.
+def _sweep(mats: list, prefixes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """Successful choice-vector counts of every tuple, one prefix at a time.
 
-    The result is an int64 array over the n^(n - len(prefix)) completions in
-    base-n order, the last car varying fastest. Row r of the depth-d state
-    matrix holds the weights of the r-th prefix of length d; one product
-    with the transfer matrix parks the next car for every letter at once.
+    All prefixes have one length. For each in turn, yields an int64 array
+    over its n^(n - len(prefix)) completions in base-n order, the last car
+    varying fastest. Row r of the depth-d state matrix holds the weights of
+    the r-th prefix of length d; one product with the transfer matrix parks
+    the next car for every letter at once.
+
+    The product buffers of the swept depths and the count array are
+    allocated once per sweep, and every prefix overwrites them: the array
+    yielded is the same object each time, valid until the next prefix.
 
     The products run in float32 through BLAS and are exact. Every matrix
     entry is 0, 1 or 2 and every state weight is a nonnegative integer, so
@@ -176,19 +183,27 @@ def _choice_counts(mats: list, prefix: tuple[int, ...]) -> np.ndarray:
     is at most 2^(n-1). float32 represents every integer up to 2^24, so for
     n <= FLOAT32_EXACT_MAX_N = 25 no rounding happens, in any summation
     order, with or without FMA, and at any BLAS thread count.
-    _transfer_matrices refuses larger n. The counts are cast to int64 once,
-    at the end, for bincount and the parity test.
+    _transfer_matrices refuses larger n. Each prefix's counts are cast into
+    the int64 array at the end, for bincount and the parity test.
     """
     import numpy as np
 
     n = len(mats)
-    states = np.ones((1, 1), dtype=np.float32)
-    for mat, a in zip(mats, prefix):
-        width = mat.shape[1] // n
-        states = states @ mat[:, (a - 1) * width : a * width]
-    for mat in mats[len(prefix) :]:
-        states = (states @ mat).reshape(-1, mat.shape[1] // n)
-    return states.ravel().astype(np.int64)
+    swept = mats[len(prefixes[0]) :]
+    bufs, rows = [], 1
+    for mat in swept:
+        bufs.append(np.empty((rows, mat.shape[1]), dtype=np.float32))
+        rows *= n
+    counts = np.empty(rows, dtype=np.int64)
+    for prefix in prefixes:
+        states = np.ones((1, 1), dtype=np.float32)
+        for mat, a in zip(mats, prefix):
+            width = mat.shape[1] // n
+            states = states @ mat[:, (a - 1) * width : a * width]
+        for mat, buf in zip(swept, bufs):
+            states = np.matmul(states, mat, out=buf).reshape(-1, mat.shape[1] // n)
+        np.copyto(counts, states.ravel(), casting="unsafe")
+        yield counts
 
 
 def _prefixes(n: int) -> list[tuple[int, ...]]:
@@ -202,10 +217,9 @@ def _census_histogram(
     """Histogram of choice counts over every tuple extending one of prefixes."""
     import numpy as np
 
-    mats = _transfer_matrices(n, k, semantics)
     hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
-    for prefix in prefixes:
-        hist += np.bincount(_choice_counts(mats, prefix), minlength=len(hist))
+    for counts in _sweep(_transfer_matrices(n, k, semantics), prefixes):
+        hist += np.bincount(counts, minlength=len(hist))
     return hist
 
 
@@ -220,8 +234,8 @@ def full_census(
 
     n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
     (387420489 tuples) are allowed with allow_large=True and take about a
-    quarter second and about five seconds in one process; larger n is
-    refused.
+    tenth of a second and about three and a half seconds in one process
+    (2-core machine, BENCH_13.json); larger n is refused.
     The sweep runs the layered transfer kernel once per two-car prefix and
     bincounts each prefix's choice counts, so the result is independent of
     the thread count: workers take whole prefixes and the histograms add.
@@ -242,7 +256,7 @@ def full_census(
     if n > CENSUS_DEFAULT_MAX_N and not allow_large:
         raise ValueError(
             f"census at n={n} sweeps {n**n} tuples and is gated; "
-            "pass allow_large=True to run it"
+            "pass allow_large=True (--allow-large on the command line) to run it"
         )
 
     prefixes = _prefixes(n)
@@ -321,16 +335,6 @@ def is_staircase(prefs: Sequence[int]) -> bool:
     if len(prefs) < 2 or prefs[0] != prefs[1] or prefs[-1] != 2:
         return False
     return all(y in (x, x - 1) for x, y in zip(prefs[1:], prefs[2:]))
-
-
-def _staircase_mask(digits: np.ndarray) -> np.ndarray:
-    """is_staircase applied to each row of a 2-D array of tuples of length >= 2."""
-    steps = digits[:, 1:-1] - digits[:, 2:]
-    return (
-        (digits[:, 0] == digits[:, 1])
-        & (digits[:, -1] == 2)
-        & ((steps == 0) | (steps == 1)).all(axis=1)
-    )
 
 
 def shape_of(prefs: Sequence[int]) -> StaircaseShape:
@@ -467,28 +471,34 @@ def verify_odd_census(n: int) -> VerificationReport:
     import numpy as np
 
     mats = _transfer_matrices(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
-    # One row per tuple of a prefix chunk; the suffix columns are the same
-    # for every chunk, so only the two prefix columns are rewritten.
+    # Row r of every chunk ends in the cars suffix[:, r]. In chunk (a, a) it
+    # is a staircase when the suffix steps down by 0 or 1 to a final 2
+    # (tail_ok) from a first car (head) of a or a - 1. At n = 2 there is no
+    # suffix and (a, a) must end in 2 itself, which a head of 2 says.
     rows = n ** (n - 2)
-    digits = np.empty((rows, n), dtype=np.int8)
-    digits[:, 2:] = np.indices((n,) * (n - 2), dtype=np.int8).reshape(n - 2, rows).T
-    digits[:, 2:] += 1
+    suffix = (np.indices((n,) * (n - 2), dtype=np.int8) + 1).reshape(n - 2, rows)
+    steps = suffix[:-1] - suffix[1:]
+    tail_ok = ((steps == 0) | (steps == 1)).all(axis=0) & (suffix[-1:] == 2).all(axis=0)
+    head = suffix[0] if n > 2 else np.full(1, 2, dtype=np.int8)
+    odd = np.empty(rows, dtype=bool)
 
     parity_violations = 0
     odd_map: dict[int, list[tuple[int, ...]]] = {}
     staircase_total = 0
-    for prefix in _prefixes(n):
-        counts = _choice_counts(mats, prefix)
-        digits[:, :2] = prefix
-        odd = (counts & 1).astype(bool)
-        if prefix[0] == prefix[1]:
-            stair = _staircase_mask(digits)
-            parity_violations += int(np.count_nonzero(odd != stair))
+    prefixes = _prefixes(n)
+    for prefix, counts in zip(prefixes, _sweep(mats, prefixes)):
+        np.bitwise_and(counts, 1, out=odd, casting="unsafe")
+        a = prefix[0]
+        if prefix[1] == a:
+            stair = tail_ok & ((head == a) | (head == a - 1))
             staircase_total += int(np.count_nonzero(stair))
+            parity_violations += int(np.count_nonzero(stair ^ odd))
         else:
             parity_violations += int(np.count_nonzero(odd))
         for i in np.flatnonzero(odd):
-            odd_map.setdefault(int(counts[i]), []).append(tuple(digits[i].tolist()))
+            odd_map.setdefault(int(counts[i]), []).append(
+                prefix + tuple(suffix[:, i].tolist())
+            )
 
     expected_odds = set(range(1, 1 << (n - 1), 2))
     bijection_ok = (

@@ -39,7 +39,7 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
-from parkmodel.census import _choice_counts, _staircase_mask, _transfer_matrices
+from parkmodel.census import _sweep, _transfer_matrices
 from parkmodel.exact import (
     _DIRECTION_RULE,
     _POLY_FACTORS,
@@ -173,7 +173,6 @@ class TestFullCensus:
             full_census(4, 2, FIRSTFIT)
         assert full_census(4, 2, JUMP).total() == 4**4
 
-    @pytest.mark.slow
     def test_eight_car_census_when_unlocked(self):
         table = full_census(8, allow_large=True)
         assert table.total() == 8**8
@@ -196,7 +195,7 @@ class TestTransferKernel:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
     def test_every_tuple_matches_the_hypercube_count(self, n, k, semantics):
-        counts = _choice_counts(_transfer_matrices(n, k, semantics), ())
+        counts = next(_sweep(_transfer_matrices(n, k, semantics), [()]))
         firstfit = semantics is FIRSTFIT
         expected = [naive_choice_count(t, k, firstfit) for t in all_tuples(n)]
         assert counts.dtype == np.int64
@@ -205,14 +204,18 @@ class TestTransferKernel:
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_prefix_chunks_tile_the_whole_sweep(self, n):
         mats = _transfer_matrices(n, 2, FIRSTFIT)
-        chunks = [_choice_counts(mats, p) for p in product(range(1, n + 1), repeat=2)]
-        assert np.concatenate(chunks).tolist() == _choice_counts(mats, ()).tolist()
+        prefixes = list(product(range(1, n + 1), repeat=2))
+        chunks = [counts.copy() for counts in _sweep(mats, prefixes)]
+        assert np.concatenate(chunks).tolist() == next(_sweep(mats, [()])).tolist()
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_staircase_mask_matches_is_staircase(self, n):
-        tuples = list(all_tuples(n))
-        digits = np.array(tuples, dtype=np.int8)
-        assert _staircase_mask(digits).tolist() == [is_staircase(t) for t in tuples]
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_every_prefix_fills_one_count_buffer(self, n):
+        mats = _transfer_matrices(n, 1, JUMP)
+        prefixes = list(product(range(1, n + 1), repeat=2))
+        # Holding every yielded array keeps a fresh allocation off a freed address.
+        yielded = list(_sweep(mats, prefixes))
+        assert len(yielded) == n * n
+        assert len({counts.ctypes.data for counts in yielded}) == 1
 
     def test_float32_exactness_bound_is_enforced_before_the_automaton(
         self, monkeypatch
@@ -392,35 +395,52 @@ class TestVerifiers:
         for g, alpha in report.findings.items():
             assert alpha == tuple_for_odd_numerator(5, (g + 1) // 2)
 
-    @pytest.mark.slow
     def test_odd_census_seven_cars(self):
         report = verify_odd_census(7)
         assert report.passed
         assert len(report.findings) == 32
 
-    @pytest.mark.slow
     def test_odd_census_eight_cars(self):
         report = verify_odd_census(8)
         assert report.passed
-        assert len(report.findings) == 64
+        assert set(report.findings) == set(range(1, 128, 2))
+        for g, alpha in report.findings.items():
+            assert alpha == tuple_for_odd_numerator(8, (g + 1) // 2)
 
     @pytest.mark.parametrize("prefix", [(1, 2), (3, 3)])
     def test_odd_census_catches_a_planted_odd_count(self, monkeypatch, prefix):
         # (1, 2) holds no staircase and is never searched for one; (3, 3) is
         # searched, and its row (3, 3, 1, 1, 1) is no staircase.
-        def planted(mats, chunk):
-            counts = _choice_counts(mats, chunk)
-            if chunk == prefix:
-                counts[0] |= 1
-            return counts
+        sweep = census._sweep
 
-        monkeypatch.setattr(census, "_choice_counts", planted)
+        def planted(mats, prefixes):
+            for chunk, counts in zip(prefixes, sweep(mats, prefixes)):
+                if chunk == prefix:
+                    counts[0] |= 1
+                yield counts
+
+        monkeypatch.setattr(census, "_sweep", planted)
         report = verify_odd_census(5)
         parity = report.checks[0]
         assert parity.label == "odd count iff staircase"
         assert not parity.passed
         assert parity.detail == "3125 tuples swept, 1 violations"
         assert not report.passed
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_odd_census_staircase_test_matches_is_staircase(self, monkeypatch, n):
+        # Counts that are odd exactly on is_staircase tuples leave no parity
+        # violation only if the census tests every tuple the same way,
+        # including the chunks it never searches for staircases.
+        def staircase_parity(mats, prefixes):
+            for prefix in prefixes:
+                rests = product(range(1, n + 1), repeat=n - 2)
+                yield np.array([is_staircase(prefix + r) for r in rests], np.int64)
+
+        monkeypatch.setattr(census, "_sweep", staircase_parity)
+        parity, _, count, _ = verify_odd_census(n).checks
+        assert parity.detail == f"{n**n} tuples swept, 0 violations"
+        assert count.passed
 
     def test_sandwich(self):
         report = verify_sandwich(10)

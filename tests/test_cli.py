@@ -193,7 +193,9 @@ class TestCensus:
         ]
 
     def test_large_sweep_is_gated(self, runner):
-        assert runner.invoke(main, ["census", "--n", "8"]).exit_code == 1
+        gated = runner.invoke(main, ["census", "--n", "8"])
+        assert gated.exit_code == 1
+        assert "--allow-large" in gated.output
         assert (
             runner.invoke(
                 main, ["census", "--n", "10", "--allow-large"]
