@@ -41,15 +41,15 @@ from itertools import product
 from random import Random
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .core import NaplesSemantics, _check_int, _park
-from .exact import (
-    _DIRECTION_RULE,
-    Poly,
-    _naples_rule,
-    _point_weight,
-    _success_poly,
-    parking_choice_count,
+from .core import (
+    DEFAULT_SEMANTICS,
+    NaplesSemantics,
+    RandomModel,
+    _check_int,
+    _park,
+    _rule,
 )
+from .exact import Poly, _point_weight, _success_poly, parking_choice_count
 from .montecarlo import _automaton
 from .recursions import expected_random_naples, naples_count, parking_count
 
@@ -124,11 +124,11 @@ class DistributionTable:
         return iter(enumerate(self.counts))
 
 
-def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
-    """One float32 transfer matrix per depth d = 0..n-1.
+def _transfer_matrices(n: int, rule: tuple) -> list:
+    """One float32 transfer matrix per depth d = 0..n-1 of core._rule's rule.
 
     After d cars every surviving occupancy mask has popcount d, so depth d
-    has C(n, d) states: layer d of the all-spot Naples automaton
+    has C(n, d) states: layer d of the all-spot automaton
     (montecarlo._automaton), in its order. Matrix d has shape
     (C(n, d), n * C(n, d+1)): column block a-1 moves car d+1, preferring
     spot a, from each depth-d mask to the masks it can fill. An entry counts
@@ -146,9 +146,8 @@ def _transfer_matrices(n: int, k: int, semantics: NaplesSemantics) -> list:
             f"census products are exact in float32 only for n <= "
             f"{FLOAT32_EXACT_MAX_N}, got n={n}"
         )
-    firstfit = semantics is NaplesSemantics.FIRST_FIT_BACKWARD
     # No cell bound: all 2^n masks, 2n cells each, at n <= CENSUS_HARD_MAX_N.
-    auto = _automaton(None, n, True, k, firstfit, np.inf)
+    auto = _automaton(None, n, *rule, np.inf)
     mats = []
     for d, table in auto.steps:
         # The next layer's dead state is its width, and fills the last cell.
@@ -211,14 +210,12 @@ def _prefixes(n: int) -> list[tuple[int, ...]]:
     return list(product(range(1, n + 1), repeat=min(n, 2)))
 
 
-def _census_histogram(
-    n: int, k: int, semantics: NaplesSemantics, prefixes
-) -> np.ndarray:
+def _census_histogram(n: int, rule: tuple, prefixes) -> np.ndarray:
     """Histogram of choice counts over every tuple extending one of prefixes."""
     import numpy as np
 
     hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
-    for counts in _sweep(_transfer_matrices(n, k, semantics), prefixes):
+    for counts in _sweep(_transfer_matrices(n, rule), prefixes):
         hist += np.bincount(counts, minlength=len(hist))
     return hist
 
@@ -226,7 +223,7 @@ def _census_histogram(
 def full_census(
     n: int,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
     threads: int = 1,
     allow_large: bool = False,
 ) -> DistributionTable:
@@ -247,7 +244,7 @@ def full_census(
     _check_int(n, "car count n", 1)
     _check_int(k, "backward allowance k", 1)
     _check_int(threads, "threads", 1)
-    semantics = NaplesSemantics(semantics)
+    rule = _rule(RandomModel.NAPLES, k, semantics)
     if n > CENSUS_HARD_MAX_N:
         raise ValueError(
             f"census at n={n} would sweep {n}^{n} = {n**n} tuples; "
@@ -263,9 +260,7 @@ def full_census(
     if threads > 1 and n >= 4:
         # One task per first car's n prefixes, so the pool builds the
         # transfer matrices n times in all, not once per prefix.
-        tasks = [
-            (n, k, semantics, prefixes[i : i + n]) for i in range(0, n * n, n)
-        ]
+        tasks = [(n, rule, prefixes[i : i + n]) for i in range(0, n * n, n)]
         # Load numpy before the pool forks, so that every worker inherits
         # it instead of importing it again.
         import multiprocessing
@@ -275,13 +270,14 @@ def full_census(
         with multiprocessing.Pool(processes=threads) as pool:
             hist = sum(pool.starmap(_census_histogram, tasks, chunksize=1))
     else:
-        hist = _census_histogram(n, k, semantics, prefixes)
+        hist = _census_histogram(n, rule, prefixes)
     counts = tuple(hist.tolist())
-    table = DistributionTable(n=n, k=k, semantics=semantics, counts=counts)
+    table = DistributionTable(n, k, NaplesSemantics(semantics), counts)
 
     if table.total() != n**n:
         raise RuntimeError(f"census total is not {n}^{n}")
-    if k == 1 or semantics is NaplesSemantics.FIRST_FIT_BACKWARD:
+    # The recursion counts the rule at k = 1 and under first-fit (rule[2]).
+    if k == 1 or rule[2]:
         if table.counts[-1] != parking_count(n):
             raise RuntimeError("full-probability count mismatch")
         if table.counts[0] != n**n - naples_count(n, k):
@@ -339,6 +335,8 @@ def is_staircase(prefs: Sequence[int]) -> bool:
 
 def shape_of(prefs: Sequence[int]) -> StaircaseShape:
     """Inverse of StaircaseShape.expand."""
+    for i, a in enumerate(prefs, start=1):
+        _check_int(a, f"preference of car {i}")
     if not is_staircase(prefs):
         raise ValueError(f"{tuple(prefs)} is not a staircase tuple")
     top = prefs[0]
@@ -350,6 +348,7 @@ def shape_of(prefs: Sequence[int]) -> StaircaseShape:
 
 def iter_staircase_shapes(n: int) -> Iterator[StaircaseShape]:
     """All 2^(n-2) staircase shapes with n cars, in a fixed deterministic order."""
+    _check_int(n, "car count n")
     if n < 2:
         raise ValueError(f"staircase tuples need n >= 2, got {n}")
 
@@ -470,7 +469,7 @@ def verify_odd_census(n: int) -> VerificationReport:
         )
     import numpy as np
 
-    mats = _transfer_matrices(n, 1, NaplesSemantics.JUMP_BACK_THEN_FORWARD)
+    mats = _transfer_matrices(n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS))
     # Row r of every chunk ends in the cars suffix[:, r]. In chunk (a, a) it
     # is a staircase when the suffix steps down by 0 or 1 to a final 2
     # (tail_ok) from a first car (head) of a or a - 1. At n = 2 there is no
@@ -631,7 +630,8 @@ def verify_direction_total(n: int) -> VerificationReport:
         raise ValueError(
             f"the direction-total sweep supports 1 <= n <= {DIRECTION_TOTAL_MAX_N}, got {n}"
         )
-    poly = _success_poly([range(1, n + 1)] * n, _DIRECTION_RULE)
+    rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
+    poly = _success_poly([range(1, n + 1)] * n, rule)
     expected = Poly.constant((n + 1) ** (n - 1))
     checks = (
         CheckResult(
@@ -660,34 +660,33 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     every = [range(1, n + 1)] * n
     sums = {}
     for semantics in NaplesSemantics:
-        rule = _naples_rule(k, semantics)
-        sums[semantics] = Fraction(_point_weight(every, rule, 1, 2), 1 << (n - 1))
+        weight = _point_weight(every, _rule(RandomModel.NAPLES, k, semantics), 1, 2)
+        sums[semantics.value] = Fraction(weight, 1 << (n - 1))
     recursion = expected_random_naples(n, k, Fraction(1, 2))
     if k == 1:
+        jump, firstfit = sums["jump"], sums["firstfit"]
         checks = (
             CheckResult(
                 "k=1 readings coincide",
-                sums[NaplesSemantics.JUMP_BACK_THEN_FORWARD]
-                == sums[NaplesSemantics.FIRST_FIT_BACKWARD],
-                f"jump {sums[NaplesSemantics.JUMP_BACK_THEN_FORWARD]}, "
-                f"firstfit {sums[NaplesSemantics.FIRST_FIT_BACKWARD]}",
+                jump == firstfit,
+                f"jump {jump}, firstfit {firstfit}",
             ),
             CheckResult(
                 "k=1 matches recursion",
-                sums[NaplesSemantics.JUMP_BACK_THEN_FORWARD] == recursion,
-                f"swept {sums[NaplesSemantics.JUMP_BACK_THEN_FORWARD]}, recursion {recursion}",
+                jump == recursion,
+                f"swept {jump}, recursion {recursion}",
             ),
         )
     else:
         checks = tuple(
             CheckResult(
-                f"{semantics.value} vs recursion (informational)",
+                f"{name} vs recursion (informational)",
                 True,
-                f"swept {sums[semantics]}, recursion {recursion}, "
-                f"{'agree' if sums[semantics] == recursion else 'disagree'}",
+                f"swept {swept}, recursion {recursion}, "
+                f"{'agree' if swept == recursion else 'disagree'}",
             )
-            for semantics in NaplesSemantics
+            for name, swept in sums.items()
         )
-    findings = {semantics.value: str(sums[semantics]) for semantics in NaplesSemantics}
+    findings = {name: str(swept) for name, swept in sums.items()}
     findings["recursion"] = str(recursion)
     return VerificationReport("naples-semantics", checks, findings)

@@ -32,6 +32,7 @@ from .census import (
     verify_sandwich,
 )
 from .circular import verify_circular
+from .core import DEFAULT_SEMANTICS, NaplesSemantics, RandomModel
 from .exact import prob_of_model, prob_of_model_at
 from .montecarlo import estimate_expected_total, estimate_prob
 from .recursions import expected_random_naples, naples_count, parking_count
@@ -133,6 +134,19 @@ format_option = click.option(
     show_default=True,
     help="Output format.",
 )
+model_option = click.option(
+    "--model",
+    type=click.Choice([m.value for m in RandomModel]),
+    required=True,
+    help="Which randomized rule a blocked car follows.",
+)
+semantics_option = click.option(
+    "--semantics",
+    type=click.Choice([s.value for s in NaplesSemantics]),
+    default=DEFAULT_SEMANTICS.value,
+    show_default=True,
+    help="Backward reading for k >= 2.",
+)
 
 
 @click.group()
@@ -143,20 +157,9 @@ def main():
 
 @main.command()
 @click.option("--alpha", type=ALPHA, required=True, help="Preference tuple, e.g. 2,2,2.")
-@click.option(
-    "--model",
-    type=click.Choice(["direction", "naples"]),
-    required=True,
-    help="Which randomized rule a blocked car follows.",
-)
+@model_option
 @click.option("--k", type=int, default=1, show_default=True, help="Backward allowance (naples).")
-@click.option(
-    "--semantics",
-    type=click.Choice(["jump", "firstfit"]),
-    default="jump",
-    show_default=True,
-    help="Backward reading for k >= 2.",
-)
+@semantics_option
 @click.option("--p", type=RATIONAL, default=None, help="Evaluate at this exact rational.")
 @format_option
 @_domain_errors
@@ -228,12 +231,7 @@ def table(n_max, k, p, fmt):
 @main.command()
 @click.option("--n", type=int, required=True, help="Car count; tuples swept: n^n.")
 @click.option("--k", type=int, default=1, show_default=True)
-@click.option(
-    "--semantics",
-    type=click.Choice(["jump", "firstfit"]),
-    default="jump",
-    show_default=True,
-)
+@semantics_option
 @click.option(
     "--threads",
     type=int,
@@ -314,18 +312,9 @@ def verify(ctx, check, n, samples, seed, fmt):
 @main.command()
 @click.option("--alpha", type=ALPHA, default=None, help="Fixed tuple to simulate.")
 @click.option("--n", type=int, default=None, help="Sample tuples of this length instead.")
-@click.option(
-    "--model",
-    type=click.Choice(["direction", "naples"]),
-    required=True,
-)
+@model_option
 @click.option("--k", type=int, default=1, show_default=True)
-@click.option(
-    "--semantics",
-    type=click.Choice(["jump", "firstfit"]),
-    default="jump",
-    show_default=True,
-)
+@semantics_option
 @click.option("--p", type=RATIONAL, default=Fraction(1, 2), show_default="1/2")
 @click.option("--trials", type=int, default=100_000, show_default=True,
               help="Simulation runs (fixed-tuple mode).")
@@ -340,55 +329,24 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
     """Seeded simulation: one tuple's probability, or the expected total."""
     if (alpha is None) == (n is None):
         raise click.UsageError("pass exactly one of --alpha or --n")
+    rule = {"model": model, "k": k, "semantics": semantics}
     if alpha is not None:
-        est = estimate_prob(
-            alpha,
-            model,
-            k=k,
-            semantics=semantics,
-            p=p,
-            trials=trials,
-            seed=seed,
-        )
-        row = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "seed": est.seed,
-        }
-        meta = _meta(seed=seed, alpha=list(alpha), model=model, k=k,
-                     semantics=semantics, p=_frac(p), trials=trials)
-        meta["stats"] = est.stats
+        est = estimate_prob(alpha, **rule, p=p, trials=trials, seed=seed)
+        meta = _meta(seed=seed, alpha=list(alpha), **rule, p=_frac(p), trials=trials)
+        totals = {}
         text = [
             f"mean = {est.mean}",
             f"stderr = {est.stderr}",
             f"trials = {est.trials}, seed = {est.seed}",
         ]
-        _emit(fmt, meta, ["mean", "stderr", "trials", "seed"], [row], text)
     else:
-        est = estimate_expected_total(
-            n,
-            model,
-            k=k,
-            semantics=semantics,
-            p=p,
-            tuple_samples=tuple_samples,
-            trials_per_tuple=trials_per_tuple,
-            seed=seed,
-        )
-        scale = n**n
-        row = {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "seed": est.seed,
-            "total_estimate": est.mean * scale,
-            "total_stderr": est.stderr * scale,
-        }
-        meta = _meta(seed=seed, n=n, model=model, k=k, semantics=semantics,
-                     p=_frac(p), tuple_samples=tuple_samples,
+        est = estimate_expected_total(n, **rule, p=p, tuple_samples=tuple_samples,
+                                      trials_per_tuple=trials_per_tuple, seed=seed)
+        meta = _meta(seed=seed, n=n, **rule, p=_frac(p), tuple_samples=tuple_samples,
                      trials_per_tuple=trials_per_tuple)
-        meta["stats"] = est.stats
+        scale = n**n
+        totals = {"total_estimate": est.mean * scale,
+                  "total_stderr": est.stderr * scale}
         text = [
             f"mean parking probability = {est.mean}",
             f"stderr = {est.stderr}",
@@ -396,13 +354,10 @@ def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple
             f"(stderr {est.stderr * scale})",
             f"tuple samples = {est.trials}, seed = {est.seed}",
         ]
-        _emit(
-            fmt,
-            meta,
-            ["mean", "stderr", "trials", "seed", "total_estimate", "total_stderr"],
-            [row],
-            text,
-        )
+    meta["stats"] = est.stats
+    row = {"mean": est.mean, "stderr": est.stderr, "trials": est.trials,
+           "seed": est.seed, **totals}
+    _emit(fmt, meta, list(row), [row], text)
 
 
 @main.command()

@@ -16,6 +16,10 @@ whose preferred spot is free are simply ignored.
 
 Occupancy is a plain int bitmask of free spots: bit (s-1) set means spot s
 is still free.
+
+Every entry point that takes a model, k or Naples reading decodes them once,
+by _rule, into the (naples, k, firstfit) triple the kernels of every module
+take; DEFAULT_SEMANTICS is the one default reading of all of them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ class RandomModel(Enum):
 
     DIRECTION = "direction"
     NAPLES = "naples"
+
+
+DEFAULT_SEMANTICS = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,18 @@ def _check_int(value, name: str, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _rule(model, k, semantics) -> tuple[bool, int, bool]:
+    """(naples, k, firstfit) of a rule given as members or values.
+
+    Raises ValueError for an unknown model or reading, or unless k is an
+    int >= 0, whatever the model: the one decoder of every entry point.
+    """
+    naples = RandomModel(model) is RandomModel.NAPLES
+    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
+    _check_int(k, "backward allowance k", 0)
+    return naples, k, firstfit
 
 
 def check_choice_bits(beta: int, n: int) -> None:
@@ -167,7 +186,7 @@ def park_forward(prefs: Sequence[int]) -> ParkingResult:
 def park_naples_det(
     prefs: Sequence[int],
     k: int,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> ParkingResult:
     """Naples rule with every blocked car taking the backward branch.
 
@@ -175,9 +194,7 @@ def park_naples_det(
     """
     n = len(prefs)
     check_preferences(prefs, n)
-    _check_int(k, "backward allowance k", 0)
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    return _result(_park(prefs, 0, True, k, firstfit), n)
+    return _result(_park(prefs, 0, *_rule(RandomModel.NAPLES, k, semantics)), n)
 
 
 def _replay(prefs, beta, model, k, semantics) -> list:
@@ -185,10 +202,7 @@ def _replay(prefs, beta, model, k, semantics) -> list:
     n = len(prefs)
     check_preferences(prefs, n)
     check_choice_bits(beta, n)
-    _check_int(k, "backward allowance k", 0)
-    naples = RandomModel(model) is RandomModel.NAPLES
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    return _park(prefs, beta, naples, k, firstfit)
+    return _park(prefs, beta, *_rule(model, k, semantics))
 
 
 def park_with_choices(
@@ -196,7 +210,7 @@ def park_with_choices(
     beta: int,
     model: RandomModel,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> ParkingResult:
     """Deterministic replay of either random model under a fixed choice vector.
 
@@ -212,7 +226,7 @@ def parks_under_choices(
     beta: int,
     model: RandomModel,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> bool:
     """Boolean fast path of park_with_choices (no ParkingResult is built)."""
     return len(_replay(prefs, beta, model, k, semantics)) == len(prefs)

@@ -32,11 +32,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    DEFAULT_SEMANTICS,
     NaplesSemantics,
     RandomModel,
     _backward_spot,
-    _check_int,
     _lowest_free_from,
+    _rule,
     check_preferences,
 )
 from .recursions import as_fraction
@@ -206,7 +207,7 @@ def _park_all(cars, moves, one, steps) -> dict:
 def _success_sum(cars, rule, one, factors):
     """Carried value summed over every state after parking cars.
 
-    ``rule`` = (naples, k, firstfit) names the backward branch
+    ``rule`` is core._rule's (naples, k, firstfit), the backward branch
     (core._backward_spot); a blocked car otherwise searches forward past its
     spot.  ``factors`` = (free spot, p-branch, (1 - p)-branch); the p-branch
     is the forward one under direction and the backward one under Naples.
@@ -243,52 +244,37 @@ def _point_weight(cars, rule, u: int, v: int) -> int:
     return _success_sum(cars, rule, 1, (v, u, v - u))
 
 
-# (naples, k, firstfit) of the random-direction rule; k and firstfit are unused.
-_DIRECTION_RULE = (False, 0, False)
-
-
-def _naples_rule(k: int, semantics: NaplesSemantics) -> tuple[bool, int, bool]:
-    """(naples, k, firstfit) of the random k-Naples rule, after checking k."""
-    _check_int(k, "backward allowance k", 0)
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    return True, k, firstfit
-
-
 def prob_random_direction(prefs: Sequence[int]) -> Poly:
     """Parking probability under the random-direction rule, exact in p.
 
     A blocked car searches forward with probability p and backward-only with
     probability 1-p; the backward search fails below spot 1.
     """
-    check_preferences(prefs, len(prefs))
-    return _success_poly([(a,) for a in prefs], _DIRECTION_RULE)
+    return prob_of_model(prefs, RandomModel.DIRECTION)
 
 
 def prob_random_naples(
     prefs: Sequence[int],
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> Poly:
     """Parking probability under the random k-Naples rule, exact in p.
 
     A blocked car takes the k-spot backup branch with probability p and a
     plain forward search with probability 1-p.
     """
-    check_preferences(prefs, len(prefs))
-    return _success_poly([(a,) for a in prefs], _naples_rule(k, semantics))
+    return prob_of_model(prefs, RandomModel.NAPLES, k, semantics)
 
 
 def prob_of_model(
     prefs: Sequence[int],
     model: RandomModel,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> Poly:
     """Exact parking probability under model (a member or its value)."""
-    semantics = NaplesSemantics(semantics)
-    if RandomModel(model) is RandomModel.DIRECTION:
-        return prob_random_direction(prefs)
-    return prob_random_naples(prefs, k=k, semantics=semantics)
+    check_preferences(prefs, len(prefs))
+    return _success_poly([(a,) for a in prefs], _rule(model, k, semantics))
 
 
 def prob_of_model_at(
@@ -296,7 +282,7 @@ def prob_of_model_at(
     model: RandomModel,
     p,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> Fraction:
     """prob_of_model(prefs, model, k, semantics).evaluate(p), exactly.
 
@@ -304,10 +290,8 @@ def prob_of_model_at(
     built: the value is the summed weight over v^(n-1).  Any rational p is
     accepted, as by Poly.evaluate.
     """
-    semantics = NaplesSemantics(semantics)
-    direction = RandomModel(model) is RandomModel.DIRECTION
     check_preferences(prefs, len(prefs))
-    rule = _DIRECTION_RULE if direction else _naples_rule(k, semantics)
+    rule = _rule(model, k, semantics)
     p = as_fraction(p)
     u, v = p.numerator, p.denominator
     weight = _point_weight([(a,) for a in prefs], rule, u, v)
@@ -317,7 +301,7 @@ def prob_of_model_at(
 def parking_choice_count(
     prefs: Sequence[int],
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
 ) -> int:
     """Number of the 2**(n-1) choice vectors that park prefs (Naples branch).
 
@@ -328,4 +312,5 @@ def parking_choice_count(
     takes milliseconds.
     """
     check_preferences(prefs, len(prefs))
-    return _point_weight([(a,) for a in prefs], _naples_rule(k, semantics), 1, 2)
+    rule = _rule(RandomModel.NAPLES, k, semantics)
+    return _point_weight([(a,) for a in prefs], rule, 1, 2)

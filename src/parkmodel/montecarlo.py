@@ -45,7 +45,14 @@ from fractions import Fraction
 from math import sqrt
 from typing import TYPE_CHECKING, Sequence
 
-from .core import NaplesSemantics, RandomModel, _check_int, check_preferences
+from .core import (
+    DEFAULT_SEMANTICS,
+    NaplesSemantics,
+    RandomModel,
+    _check_int,
+    _rule,
+    check_preferences,
+)
 from .recursions import as_fraction
 
 if TYPE_CHECKING:
@@ -264,24 +271,17 @@ def _stats(auto, rng_chunks: int, rows_walked: int) -> dict:
     }
 
 
-def _rule(model: RandomModel, k: int, semantics: NaplesSemantics) -> tuple:
-    """(naples, k, firstfit) of a model, after checking each argument."""
-    naples = RandomModel(model) is RandomModel.NAPLES
-    firstfit = NaplesSemantics(semantics) is NaplesSemantics.FIRST_FIT_BACKWARD
-    _check_int(k, "backward allowance k", 0)
-    return naples, k, firstfit
-
-
 def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     """The chunk loop of both estimators: mean over samples of the parking frequency.
 
-    prefs is the fixed tuple, or None to draw each sample's tuple. Chunk c
-    draws its tuples (when drawn) and then its (rows, per_sample, n-1)
-    branch bits from the stream keyed (seed, c), and walks them through the
-    occupancy automaton, or replays them when that is too large. With one
-    walk per sample the observations are Bernoulli, successes are counted
-    as an int and the stderr uses the exact binomial form; otherwise it
-    falls back to the sample variance of the per-sample frequencies.
+    prefs is the fixed tuple, or None to draw each sample's tuple; rule is
+    core._rule's (naples, k, firstfit). Chunk c draws its tuples (when
+    drawn) and then its (rows, per_sample, n-1) branch bits from the stream
+    keyed (seed, c), and walks them through the occupancy automaton, or
+    replays them when that is too large. With one walk per sample the
+    observations are Bernoulli, successes are counted as an int and the
+    stderr uses the exact binomial form; otherwise it falls back to the
+    sample variance of the per-sample frequencies.
     """
     import numpy as np
 
@@ -290,11 +290,10 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    naples, k, firstfit = rule
     nbits = n - 1
     thr = _threshold(p)
     chunk_rows = min(CHUNK_TRIALS, samples) * per_sample
-    auto = _automaton(prefs, n, naples, k, firstfit, chunk_rows * n)
+    auto = _automaton(prefs, n, *rule, chunk_rows * n)
 
     total = 0
     total_sq = 0.0
@@ -307,7 +306,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
             tuples = gen.integers(1, n + 1, size=(rows, 1, n), dtype=np.int64)
         else:
             tuples = np.array(prefs)
-        bits = _event_bits(gen, (rows, per_sample, nbits), thr, naples)
+        bits = _event_bits(gen, (rows, per_sample, nbits), thr, rule[0])
         if auto is not None:
             parked = _walk(auto, tuples if prefs is None else None, bits)
         else:
@@ -315,9 +314,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
             parked = _parks_rows(
                 np.broadcast_to(tuples, (rows, per_sample, n)).reshape(flat, n),
                 bits.reshape(flat, nbits),
-                naples,
-                k,
-                firstfit,
+                *rule,
             ).reshape(rows, per_sample)
         if per_sample == 1:
             total += int(parked.sum())
@@ -346,7 +343,7 @@ def estimate_prob(
     prefs: Sequence[int],
     model: RandomModel,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
     p=Fraction(1, 2),
     trials: int = 100_000,
     seed: int = 0,
@@ -372,7 +369,7 @@ def estimate_expected_total(
     n: int,
     model: RandomModel,
     k: int = 1,
-    semantics: NaplesSemantics = NaplesSemantics.JUMP_BACK_THEN_FORWARD,
+    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
     p=Fraction(1, 2),
     tuple_samples: int = 100_000,
     trials_per_tuple: int = 1,

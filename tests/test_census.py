@@ -40,13 +40,8 @@ from parkmodel import (
     verify_sandwich,
 )
 from parkmodel.census import _sweep, _transfer_matrices
-from parkmodel.exact import (
-    _DIRECTION_RULE,
-    _POLY_FACTORS,
-    _naples_rule,
-    _point_weight,
-    _success_sum,
-)
+from parkmodel.core import _rule
+from parkmodel.exact import _POLY_FACTORS, _point_weight, _success_sum
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
 
@@ -163,7 +158,7 @@ class TestFullCensus:
         assert table.expectation() == expected_random_naples(n, k, HALF)
 
     def test_self_checks_run_for_firstfit_at_k_two(self, monkeypatch):
-        def shifted(n, k, semantics, prefixes):
+        def shifted(n, rule, prefixes):
             hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
             hist[1] = n**n  # right total, wrong everything else
             return hist
@@ -195,7 +190,8 @@ class TestTransferKernel:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
     def test_every_tuple_matches_the_hypercube_count(self, n, k, semantics):
-        counts = next(_sweep(_transfer_matrices(n, k, semantics), [()]))
+        mats = _transfer_matrices(n, _rule("naples", k, semantics))
+        counts = next(_sweep(mats, [()]))
         firstfit = semantics is FIRSTFIT
         expected = [naive_choice_count(t, k, firstfit) for t in all_tuples(n)]
         assert counts.dtype == np.int64
@@ -203,14 +199,14 @@ class TestTransferKernel:
 
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_prefix_chunks_tile_the_whole_sweep(self, n):
-        mats = _transfer_matrices(n, 2, FIRSTFIT)
+        mats = _transfer_matrices(n, _rule("naples", 2, FIRSTFIT))
         prefixes = list(product(range(1, n + 1), repeat=2))
         chunks = [counts.copy() for counts in _sweep(mats, prefixes)]
         assert np.concatenate(chunks).tolist() == next(_sweep(mats, [()])).tolist()
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_every_prefix_fills_one_count_buffer(self, n):
-        mats = _transfer_matrices(n, 1, JUMP)
+        mats = _transfer_matrices(n, _rule("naples", 1, JUMP))
         prefixes = list(product(range(1, n + 1), repeat=2))
         # Holding every yielded array keeps a fresh allocation off a freed address.
         yielded = list(_sweep(mats, prefixes))
@@ -228,10 +224,10 @@ class TestTransferKernel:
 
         monkeypatch.setattr(census, "_automaton", automaton)
         with pytest.raises(ValueError, match="float32"):
-            _transfer_matrices(26, 1, JUMP)
+            _transfer_matrices(26, _rule("naples", 1, JUMP))
         assert built == []
         with pytest.raises(LookupError, match="automaton reached"):
-            _transfer_matrices(25, 1, JUMP)
+            _transfer_matrices(25, _rule("naples", 1, JUMP))
         assert built == [25]
 
 
@@ -280,6 +276,22 @@ class TestStaircaseShapes:
             shape_of((1, 2, 3))
         with pytest.raises(ValueError):
             iter_staircase_shapes(1)
+
+    @pytest.mark.parametrize(
+        "helper,arg,message",
+        [
+            (iter_staircase_shapes, "3", "car count n must be an integer, got '3'"),
+            (iter_staircase_shapes, 3.0, "car count n must be an integer, got 3.0"),
+            (shape_of, (3, 3, 2.0), "preference of car 3 must be an integer, got 2.0"),
+            (shape_of, (3.0, 3, 2), "preference of car 1 must be an integer, got 3.0"),
+            (iter_staircase_shapes, 1, "staircase tuples need n >= 2, got 1"),
+            (shape_of, (3, 2), "(3, 2) is not a staircase tuple"),
+        ],
+    )
+    def test_staircase_helpers_raise_value_errors(self, helper, arg, message):
+        with pytest.raises(ValueError) as info:
+            helper(arg)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_closed_form_matches_both_counting_routes(self, n):
@@ -509,7 +521,7 @@ class TestVerifiers:
     def test_every_letter_step_sums_the_tuple_counts(self, n):
         every = [range(1, n + 1)] * n
         free, p, q = _POLY_FACTORS
-        for rule in (_DIRECTION_RULE, _naples_rule(2, JUMP)):
+        for rule in (_rule("direction", 0, JUMP), _rule("naples", 2, JUMP)):
             for factors in ((free, p, q), (free, q, p)):
                 summed = Poly.zero()
                 for t in all_tuples(n):
@@ -517,7 +529,7 @@ class TestVerifiers:
                         [(a,) for a in t], rule, Poly.one(), factors
                     )
                 assert _success_sum(every, rule, Poly.one(), factors) == summed
-            if rule is _DIRECTION_RULE:
+            if not rule[0]:
                 poly = sum(map(prob_random_direction, all_tuples(n)), Poly.zero())
             else:
                 poly = sum(

@@ -107,6 +107,14 @@ class TestProb:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("p", [[], ["--p", "1/2"]])
+    def test_bad_k_exits_one_under_direction_too(self, runner, p):
+        result = runner.invoke(
+            main, ["prob", "--alpha", "1,1,2", "--model", "direction", "--k", "-1", *p]
+        )
+        assert result.exit_code == 1
+        assert "backward allowance k must be >= 0, got -1" in result.output
+
     def test_malformed_alpha_exits_two(self, runner):
         result = runner.invoke(
             main, ["prob", "--alpha", "one,two", "--model", "naples"]

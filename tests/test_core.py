@@ -1,6 +1,7 @@
 """Deterministic parking walks checked against plain list-scan replays."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,16 @@ import parkmodel
 from parkmodel import (
     NaplesSemantics,
     RandomModel,
+    estimate_expected_total,
+    estimate_prob,
     naples_count,
     park_forward,
     park_naples_det,
     park_with_choices,
     parking_count,
     parks_under_choices,
+    prob_of_model,
+    prob_of_model_at,
 )
 from parkmodel.core import _backward_spot, _highest_free_upto, _lowest_free_from
 
@@ -189,6 +194,39 @@ class TestValidation:
         if model is RandomModel.NAPLES:
             with pytest.raises(ValueError):
                 park_naples_det((2, 2, 2), 1, semantics)
+
+
+# Every public entry point that takes (model, k, semantics), on valid other inputs.
+RULE_ENTRY_POINTS = {
+    "park_with_choices": lambda m, k, s: park_with_choices((2, 2, 2), 0, m, k, s),
+    "parks_under_choices": lambda m, k, s: parks_under_choices((2, 2, 2), 0, m, k, s),
+    "prob_of_model": lambda m, k, s: prob_of_model((2, 2, 2), m, k, s),
+    "prob_of_model_at": lambda m, k, s: prob_of_model_at(
+        (2, 2, 2), m, Fraction(1, 2), k, s
+    ),
+    "estimate_prob": lambda m, k, s: estimate_prob((2, 2, 2), m, k, s, trials=8),
+    "estimate_expected_total": lambda m, k, s: estimate_expected_total(
+        3, m, k, s, tuple_samples=8
+    ),
+}
+BAD_K_OR_SEMANTICS = [
+    (-1, JUMP, "backward allowance k must be >= 0, got -1"),
+    (True, JUMP, "backward allowance k must be an integer, got True"),
+    (1.5, JUMP, "backward allowance k must be an integer, got 1.5"),
+    (1, "back", "'back' is not a valid NaplesSemantics"),
+]
+
+
+@pytest.mark.parametrize("entry", RULE_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "model,k,semantics,message",
+    [(m, *row) for m in RandomModel for row in BAD_K_OR_SEMANTICS]
+    + [("bogus", 1, JUMP, "'bogus' is not a valid RandomModel")],
+)
+def test_every_entry_point_decodes_the_rule_alike(entry, model, k, semantics, message):
+    with pytest.raises(ValueError) as info:
+        RULE_ENTRY_POINTS[entry](model, k, semantics)
+    assert str(info.value) == message
 
 
 @st.composite

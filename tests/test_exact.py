@@ -304,4 +304,5 @@ def test_point_step_validates_like_the_polynomial():
         prob_of_model_at((1, 3), RandomModel.NAPLES, HALF)
     with pytest.raises(ValueError):
         prob_of_model_at((1, 1), RandomModel.NAPLES, HALF, k=-1)
-    assert prob_of_model_at((2, 2), "direction", 1, k=-1) == 0
+    with pytest.raises(ValueError, match="backward allowance k must be >= 0"):
+        prob_of_model_at((2, 2), "direction", 1, k=-1)
