@@ -577,13 +577,14 @@ def verify_monotonicity(
     _check_int(samples, "samples", 1)
     _check_int(seed, "seed", 0)
     nbits = n - 1
+    rule = _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
     violations = 0
     if n <= 5:
         checked = 0
         for reversed_prefs in product(range(1, n + 1), repeat=n):
             prefs = reversed_prefs[::-1]
             table = [
-                len(_park(prefs, beta, True, 1, False)) == n
+                len(_park(prefs, beta, *rule)) == n
                 for beta in range(1 << nbits)
             ]
             for beta in range(1 << nbits):
@@ -603,8 +604,8 @@ def verify_monotonicity(
             prefs = tuple(rng.randint(1, n) for _ in range(n))
             bit = 1 << rng.randrange(nbits)
             beta = rng.getrandbits(nbits) | bit
-            parks = len(_park(prefs, beta, True, 1, False)) == n
-            if parks and len(_park(prefs, beta ^ bit, True, 1, False)) < n:
+            parks = len(_park(prefs, beta, *rule)) == n
+            if parks and len(_park(prefs, beta ^ bit, *rule)) < n:
                 violations += 1
         mode = f"sampled: {samples} random flips, seed {seed}"
     checks = (

@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .census import (
@@ -323,12 +324,22 @@ def verify(ctx, check, n, samples, seed, fmt):
 @click.option("--trials-per-tuple", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @format_option
+@click.pass_context
 @_domain_errors
-def mc(alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple,
+def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple,
        seed, fmt):
     """Seeded simulation: one tuple's probability, or the expected total."""
     if (alpha is None) == (n is None):
         raise click.UsageError("pass exactly one of --alpha or --n")
+    # The other mode's counts would be ignored, so refuse them when typed.
+    if alpha is None:
+        mode, others = "--n", ["trials"]
+    else:
+        mode, others = "--alpha", ["tuple_samples", "trials_per_tuple"]
+    for name in others:
+        if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            flag = "--" + name.replace("_", "-")
+            raise click.UsageError(f"{flag} does not apply with {mode}")
     rule = {"model": model, "k": k, "semantics": semantics}
     if alpha is not None:
         est = estimate_prob(alpha, **rule, p=p, trials=trials, seed=seed)

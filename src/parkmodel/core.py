@@ -180,7 +180,8 @@ def park_forward(prefs: Sequence[int]) -> ParkingResult:
     """Classic rule: each car takes the first free spot at or past its preference."""
     n = len(prefs)
     check_preferences(prefs, n)
-    return _result(_park(prefs, (1 << n) - 1, False, 0, False), n)
+    rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
+    return _result(_park(prefs, (1 << n) - 1, *rule), n)
 
 
 def park_naples_det(

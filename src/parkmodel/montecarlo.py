@@ -23,8 +23,9 @@ rule the backward branch.
 Trials are walked through an occupancy automaton built once per call
 (_automaton). A breadth-first search from the empty lot, one car at a time,
 keeps the distinct occupancy masks reachable after each car, and gives the
-car a flat int32 table from (state, preferred spot, choice bit) to the next
-state; a dead state holds the runs that have failed. Every trial of a chunk
+car a flat table from (state, preferred spot, choice bit) to the next state,
+held as intp (numpy's native index type, so no gather converts its index
+array); a dead state holds the runs that have failed. Every trial of a chunk
 then costs one gather per car (_walk). When the automaton would hold more
 cells than one chunk's walk touches row-car cells (totals at large n,
 pathological tuples), the search stops and each chunk is replayed by
@@ -235,7 +236,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         masks = occ[rows[first]]
         peak = max(peak, len(masks))
-        table = np.full(len(occ) + 2 * m, len(masks), dtype=np.int32)
+        table = np.full(len(occ) + 2 * m, len(masks), dtype=np.intp)
         table[rows] = inverse
         steps.append((i, np.pad(table, (2, 0)) if prefs is None else table))
     return _Automaton(steps, len(masks), peak)
@@ -246,11 +247,12 @@ def _walk(auto: _Automaton, prefs, bits) -> np.ndarray:
 
     bits holds the choice rows (last axis, column i-1 for car i); prefs is
     None for a fixed tuple, else the 1-based preferences (last axis) of
-    rows broadcasting against bits' leading axes. Indices stay int32.
+    rows broadcasting against bits' leading axes. Indices stay intp, so
+    each table[state] gathers without first converting state.
     """
     import numpy as np
 
-    state = np.zeros(bits.shape[:-1], dtype=np.int32)
+    state = np.zeros(bits.shape[:-1], dtype=np.intp)
     for i, table in auto.steps:
         if prefs is not None:
             state *= prefs.shape[-1]

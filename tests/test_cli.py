@@ -381,6 +381,19 @@ class TestMc:
         assert both.exit_code == 2
         assert neither.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["--n", "3", "--trials", "7"], "--trials"),
+            (["--alpha", "1,1", "--tuple-samples", "4"], "--tuple-samples"),
+            (["--alpha", "1,1", "--trials-per-tuple", "2"], "--trials-per-tuple"),
+        ],
+    )
+    def test_other_modes_count_exits_two(self, runner, args, flag):
+        result = runner.invoke(main, ["mc", *args, "--model", "naples"])
+        assert result.exit_code == 2
+        assert f"{flag} does not apply with" in result.output
+
     def test_decimal_p_exits_two(self, runner):
         result = runner.invoke(
             main,

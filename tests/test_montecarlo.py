@@ -419,6 +419,32 @@ class TestAutomaton:
             prefs, bits, *config
         )
 
+    @pytest.mark.parametrize(
+        "n,fixed",
+        [
+            (5, None),
+            (5, (3, 3, 3, 1, 2)),
+            (70, tuple(_mostly_distinct(np.random.default_rng(70), 70).tolist())),
+        ],
+        ids=["all-spot", "fixed", "fixed-70"],
+    )
+    def test_tables_are_intp_and_walk_like_parks(self, n, fixed):
+        # intp indices gather without a conversion; an int32 table walks
+        # alike but slower, so only this dtype check can see it.
+        rng = np.random.default_rng(n)
+        if fixed is None:
+            prefs = rng.integers(1, n + 1, size=(300, n))
+        else:
+            prefs = np.tile(fixed, (300, 1))
+        bits = rng.random((300, n - 1)) < 0.5
+        for config in WALKER_CONFIGS:
+            auto = montecarlo._automaton(fixed, n, *config, 1 << 20)
+            assert auto.steps, config
+            assert all(table.dtype == np.intp for _, table in auto.steps), config
+            walked = montecarlo._walk(auto, prefs if fixed is None else None, bits)
+            parked = _assert_walker_matches_parks(prefs, bits, [config])
+            assert (walked == parked).all(), config
+
     def test_all_spot_layers_hold_every_mask_of_their_popcount(self):
         auto = montecarlo._automaton(None, 10, True, 1, False, 1 << 20)
         assert auto.states_peak == 252
