@@ -12,18 +12,21 @@ linear model allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import zip_longest
 from typing import Sequence
 
 from .census import CheckResult, VerificationReport
 from .core import (
+    DEFAULT_SEMANTICS,
+    RandomModel,
     _check_int,
     _highest_free_upto,
     _lowest_free_from,
+    _rule,
     check_choice_bits,
     check_preferences,
 )
-from .exact import _POLY_FACTORS, Poly, _park_all, prob_random_direction
+from .exact import _POLY_FACTORS, Poly, _line_moves, _park_all, _park_each
 
 
 @dataclass(frozen=True)
@@ -42,10 +45,7 @@ class EmptySpotDistribution:
             raise ValueError(
                 f"need {self.n + 1} entries for {self.n} cars, got {len(self.probs)}"
             )
-        total = Poly.zero()
-        for q in self.probs:
-            total = total + q
-        if total != Poly.one():
+        if sum(self.probs, Poly.zero()) != Poly.one():
             raise ValueError("empty-spot probabilities do not sum to 1")
 
     def prob_for_spot(self, spot: int) -> Poly:
@@ -56,10 +56,7 @@ class EmptySpotDistribution:
 
     def rotated(self) -> "EmptySpotDistribution":
         """Distribution after every preference is shifted one spot clockwise."""
-        ring = self.n + 1
-        return EmptySpotDistribution(
-            self.n, tuple(self.probs[(i - 1) % ring] for i in range(ring))
-        )
+        return EmptySpotDistribution(self.n, (*self.probs[-1:], *self.probs[:-1]))
 
 
 def shift_preferences(prefs: Sequence[int]) -> tuple[int, ...]:
@@ -107,24 +104,26 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
     return (~occ & ((1 << ring) - 1)).bit_length()
 
 
+def _distribution(n: int, states: dict) -> EmptySpotDistribution:
+    """Read the ring states after n cars: each mask leaves one spot empty."""
+    ring = n + 1
+    per_spot = [Poly.zero()] * ring
+    for occ, prob in states.items():
+        per_spot[(~occ & ((1 << ring) - 1)).bit_length() - 1] = prob
+    return EmptySpotDistribution(n, tuple(per_spot))
+
+
 def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     """Exact empty-spot distribution with forward weight p, backward 1 - p.
 
     Runs the exact step car by car, carrying a Poly per occupancy mask,
-    with the two ring scans as a blocked car's moves. Each final mask leaves
-    a different spot empty, and the Poly it carries is that spot's
-    probability.
+    with the two ring scans as a blocked car's moves.
     """
     n = len(prefs)
-    ring = n + 1
-    check_preferences(prefs, ring)
-    per_spot = [Poly.zero()] * ring
+    check_preferences(prefs, n + 1)
     cars = [(a,) for a in prefs]
-    states = _park_all(cars, _ring_moves(ring), Poly.one(), _POLY_FACTORS)
-    for occ, prob in states.items():
-        empty = (~occ & ((1 << ring) - 1)).bit_length()
-        per_spot[empty - 1] = prob
-    return EmptySpotDistribution(n, tuple(per_spot))
+    states = _park_all(cars, _ring_moves(n + 1), Poly.one(), _POLY_FACTORS)
+    return _distribution(n, states)
 
 
 CIRCULAR_SWEEP_MAX_N = 4
@@ -138,7 +137,8 @@ def verify_circular(n: int) -> VerificationReport:
     probability summed over all tuples is the constant (n+1)^(n-1). Also
     reported, but never failed on: for linear-range tuples, whether the
     probability that spot n+1 stays empty equals the linear model's parking
-    probability (the two scan rules part ways once a backward search wraps).
+    probability. It always does: the ring run follows the linear run until
+    the first car the line cannot park, and that car wraps onto spot n+1.
     """
     _check_int(n, "car count n", 1)
     if n > CIRCULAR_SWEEP_MAX_N:
@@ -146,7 +146,6 @@ def verify_circular(n: int) -> VerificationReport:
             f"the circular sweep supports 1 <= n <= {CIRCULAR_SWEEP_MAX_N}, got {n}"
         )
     ring = n + 1
-    column_sums = [Poly.zero()] * ring
     shift_bad = 0
     naming_bad = 0
     agree = 0
@@ -154,32 +153,38 @@ def verify_circular(n: int) -> VerificationReport:
     disagree_example = ""
     dists: dict[tuple[int, ...], EmptySpotDistribution] = {}
 
-    for reversed_prefs in product(range(1, ring + 1), repeat=n):
-        prefs = reversed_prefs[::-1]
-        dist = empty_spot_distribution(prefs)
-        dists[prefs] = dist
-        for i in range(ring):
-            column_sums[i] = column_sums[i] + dist.probs[i]
+    for prefs, states in _park_each(
+        [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+    ):
+        dist = dists[prefs] = _distribution(n, states)
         if ring in prefs and dist.probs[ring - 1] != Poly.zero():
             naming_bad += 1
 
     for prefs, dist in dists.items():
-        if dists[shift_preferences(prefs)] != dist.rotated():
+        probs = dists[shift_preferences(prefs)].probs
+        if probs != dist.probs[-1:] + dist.probs[:-1]:
             shift_bad += 1
 
-    for prefs, dist in dists.items():
-        if any(a > n for a in prefs):
-            continue
-        if dist.probs[ring - 1] == prob_random_direction(prefs):
+    line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
+    for prefs, states in _park_each(
+        [range(1, n + 1)] * n, line, Poly.one(), _POLY_FACTORS
+    ):
+        ring_prob = dists[prefs].probs[ring - 1]
+        line_prob = sum(states.values(), Poly.zero())
+        if ring_prob == line_prob:
             agree += 1
         else:
             disagree += 1
             if not disagree_example:
                 disagree_example = (
-                    f"first mismatch {prefs}: ring gives {dist.probs[ring - 1]}, "
-                    f"line gives {prob_random_direction(prefs)}"
+                    f"first mismatch {prefs}: ring gives {ring_prob}, "
+                    f"line gives {line_prob}"
                 )
 
+    column_sums = [
+        Poly(tuple(map(sum, zip_longest(*(q.coeffs for q in col), fillvalue=0))))
+        for col in zip(*(dist.probs for dist in dists.values()))
+    ]
     uniform = Poly.constant((n + 1) ** (n - 1))
     columns_ok = all(col == uniform for col in column_sums)
     checks = (

@@ -17,7 +17,8 @@ other.  The probability is the summed weight over v^(n-1).  At p = 1/2 the
 factors are 2/1/1 and the weight counts successful choice vectors, which is
 how parking_choice_count and prob_of_model_at avoid building a polynomial.
 Letting a car prefer every spot at once gives the sum over all n^n tuples
-in the same one walk (_success_poly, _point_weight).
+in the same one walk (_success_poly, _point_weight).  Per-tuple sweeps share
+each prefix's walk through _park_each.
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
@@ -204,16 +205,25 @@ def _park_all(cars, moves, one, steps) -> dict:
     return states
 
 
-def _success_sum(cars, rule, one, factors):
-    """Carried value summed over every state after parking cars.
+def _park_each(cars, moves, one, steps):
+    """Yield (tuple, states) for every tuple cars spans, in product(*cars) order.
 
-    ``rule`` is core._rule's (naples, k, firstfit), the backward branch
-    (core._backward_spot); a blocked car otherwise searches forward past its
-    spot.  ``factors`` = (free spot, p-branch, (1 - p)-branch); the p-branch
-    is the forward one under direction and the backward one under Naples.
+    Depth first, so each prefix's states are advanced once, by _park_car.
     """
+    stack = [((a,), {1 << (a - 1): one}) for a in reversed(cars[0])]
+    while stack:
+        prefix, states = stack.pop()
+        if len(prefix) == len(cars):
+            yield prefix, states
+            continue
+        for a in reversed(cars[len(prefix)]):
+            stack.append((prefix + (a,), _park_car(states, (a,), moves, steps)))
+
+
+def _line_moves(n: int, rule):
+    """Landing spots (forward past a, core._backward_spot) on the n-spot line."""
     naples, k, firstfit = rule
-    full = (1 << len(cars)) - 1
+    full = (1 << n) - 1
 
     def moves(occ: int, a: int) -> tuple[int, int]:
         free = ~occ & full
@@ -222,10 +232,20 @@ def _success_sum(cars, rule, one, factors):
             _backward_spot(free, a, naples, k, firstfit),
         )
 
+    return moves
+
+
+def _success_sum(cars, rule, one, factors):
+    """Carried value summed over every state after parking cars on the line.
+
+    ``factors`` = (free spot, p-branch, (1 - p)-branch); the p-branch is the
+    forward one under direction and the backward one under Naples.
+    """
     free_f, p_f, q_f = factors
-    steps = (free_f, q_f, p_f) if naples else factors
+    steps = (free_f, q_f, p_f) if rule[0] else factors
+    states = _park_all(cars, _line_moves(len(cars), rule), one, steps)
     # one * 0 is the zero of the carried kind: 0 or Poly.zero().
-    return sum(_park_all(cars, moves, one, steps).values(), one * 0)
+    return sum(states.values(), one * 0)
 
 
 def _success_poly(cars, rule) -> Poly:

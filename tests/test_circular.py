@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkmodel import (
+    CheckResult,
     EmptySpotDistribution,
     Poly,
     circular_park,
@@ -15,7 +16,10 @@ from parkmodel import (
     prob_random_direction,
     shift_preferences,
     verify_circular,
+    VerificationReport,
 )
+from parkmodel.circular import _distribution, _ring_moves
+from parkmodel.exact import _POLY_FACTORS, _park_each
 
 from oracles import naive_circular_dist_at, naive_circular_empty, probe_points
 
@@ -134,14 +138,61 @@ class TestAgainstLinearModel:
             dist = empty_spot_distribution(prefs)
             assert dist.prob_for_spot(n + 1) == prob_random_direction(prefs)
 
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(*[st.integers(1, n)] * n)))
+    @settings(max_examples=200, deadline=None)
+    def test_identity_holds_on_longer_tuples(self, prefs):
+        n = len(prefs)
+        dist = empty_spot_distribution(prefs)
+        assert dist.prob_for_spot(n + 1) == prob_random_direction(prefs)
+
 
 class TestVerifier:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sweep_passes(self, n):
         report = verify_circular(n)
         assert report.passed
         assert report.findings["linear_disagree"] == 0
         assert report.findings["linear_agree"] == n**n
+
+    @pytest.mark.parametrize(
+        "n, tuples, target, linear",
+        [(1, 2, 1, 1), (2, 9, 3, 4), (3, 64, 16, 27), (4, 625, 125, 256)],
+    )
+    def test_report_is_pinned(self, n, tuples, target, linear):
+        none_bad = "0 offending tuples"
+        assert verify_circular(n) == VerificationReport(
+            "circular-shift",
+            (
+                CheckResult(
+                    "distributions normalized",
+                    True,
+                    f"{tuples} tuples swept; construction asserts the sum is 1",
+                ),
+                CheckResult("spot n+1 never empty when named", True, none_bad),
+                CheckResult("shift rotates the distribution", True, none_bad),
+                CheckResult("per-spot column sums uniform", True, f"target {target}"),
+                CheckResult(
+                    "linear agreement (informational)",
+                    True,
+                    f"{linear} of {linear} linear-range tuples match the "
+                    "linear parking probability",
+                ),
+            ),
+            {"linear_agree": linear, "linear_disagree": 0},
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_swept_distributions_match_the_hypercube_sum(self, n):
+        ring = n + 1
+        sweep = _park_each(
+            [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+        )
+        for prefs, states in sweep:
+            dist = _distribution(n, states)
+            assert dist == empty_spot_distribution(prefs)
+            for p in probe_points(n):
+                got = [q.evaluate(p) for q in dist.probs]
+                assert got == naive_circular_dist_at(prefs, p)
 
     def test_sweep_bounds(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,15 @@ from parkmodel import (
     prob_random_direction,
     prob_random_naples,
     staircase_choice_count,
+)
+from parkmodel.circular import _ring_moves
+from parkmodel.core import _rule
+from parkmodel.exact import (
+    _POLY_FACTORS,
+    _line_moves,
+    _park_all,
+    _park_each,
+    _success_sum,
 )
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
@@ -220,6 +230,56 @@ class TestChoiceCount:
         assert parking_choice_count((3, 3, 3)) == 0
         assert parking_choice_count((1, 2, 3)) == 4
         assert parking_choice_count((2, 2)) == 1
+
+
+class TestParkEach:
+    """The depth-first sweep yields each tuple's own states, prefixes shared."""
+
+    FREE, P, Q = _POLY_FACTORS
+    RULES = [
+        ("direction", 0, JUMP),
+        ("naples", 1, JUMP),
+        ("naples", 2, FIRSTFIT),
+    ]
+
+    @staticmethod
+    def _assert_each_matches_park_all(cars, moves, one, steps):
+        seen = []
+        for prefs, states in _park_each(cars, moves, one, steps):
+            seen.append(prefs)
+            assert states == _park_all([(a,) for a in prefs], moves, one, steps)
+        assert seen == list(product(*cars))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ring_moves_every_tuple_once_in_order(self, n):
+        ring = n + 1
+        self._assert_each_matches_park_all(
+            [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("model, k, semantics", RULES)
+    def test_line_moves_every_tuple_once_in_order(self, n, model, k, semantics):
+        rule = _rule(model, k, semantics)
+        moves = _line_moves(n, rule)
+        # The p-branch is forward under direction and backward under Naples.
+        steps = (self.FREE, self.Q, self.P) if rule[0] else _POLY_FACTORS
+        every = [range(1, n + 1)] * n
+        self._assert_each_matches_park_all(every, moves, Poly.one(), steps)
+        self._assert_each_matches_park_all(every, moves, 1, (3, 1, 2))
+        for prefs, states in _park_each(every, moves, Poly.one(), steps):
+            want = prob_of_model(prefs, model, k, semantics)
+            assert sum(states.values(), Poly.zero()) == want
+
+    def test_uneven_letter_sets(self):
+        cars = [(1, 3), (2,), (3, 1, 2), (4, 2)]
+        rule = _rule("direction", 0, JUMP)
+        moves = _line_moves(4, rule)
+        self._assert_each_matches_park_all(cars, moves, Poly.one(), _POLY_FACTORS)
+        total = Poly.zero()
+        for _, states in _park_each(cars, moves, Poly.one(), _POLY_FACTORS):
+            total = total + sum(states.values(), Poly.zero())
+        assert total == _success_sum(cars, rule, Poly.one(), _POLY_FACTORS)
 
 
 class TestLongTuples:
