@@ -16,10 +16,11 @@ in float32 through BLAS; every weight is an integer of at most 2^(n-1), so
 they are exact (see _sweep). The transfer matrices are read off
 the all-spot occupancy automaton of the Monte Carlo module
 (montecarlo._automaton), so the census lands a blocked car by the same rule
-as the simulation and the scalar walker core._park. Sweeps run one two-car
-prefix at a time, which bounds the largest matrix at n^(n-2) rows; the
-product and count buffers are allocated once per sweep and every prefix
-overwrites them.
+as the simulation and the scalar walker core._park. The histogram merges
+the prefixes that leave equal rows (_census_histogram). The odd census
+names the tuple behind each odd count, so it sweeps every row (_sweep) one
+two-car prefix at a time: the largest matrix has n^(n-2) rows, and its
+buffers are allocated once per sweep.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -205,19 +206,27 @@ def _sweep(mats: list, prefixes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarr
         yield counts
 
 
-def _prefixes(n: int) -> list[tuple[int, ...]]:
-    """The chunks a sweep is split into: all prefixes of its first two cars."""
-    return list(product(range(1, n + 1), repeat=min(n, 2)))
+def _census_histogram(n: int, rule: tuple) -> np.ndarray:
+    """Histogram of choice counts over all n^n tuples, a DP over distinct rows.
 
-
-def _census_histogram(n: int, rule: tuple, prefixes) -> np.ndarray:
-    """Histogram of choice counts over every tuple extending one of prefixes."""
+    Prefixes that leave equal weighted occupancy rows have equal completions,
+    so before each product the rows are deduplicated (as np.void, like the
+    masks of montecarlo._automaton) and each distinct row carries its prefix
+    count: at most 1,942 rows per depth at n = 9, k = 1. Rows are exact as in
+    _sweep; the counts add in float64, exact since n^n <= 9^9 < 2^53.
+    """
     import numpy as np
 
-    hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
-    for counts in _sweep(_transfer_matrices(n, rule), prefixes):
-        hist += np.bincount(counts, minlength=len(hist))
-    return hist
+    states = np.ones((1, 1), dtype=np.float32)
+    weights = np.ones(1)
+    for mat in _transfer_matrices(n, rule):
+        keys = states.view(np.dtype((np.void, 4 * states.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        weights = np.repeat(np.bincount(inverse, weights, len(first)), n)
+        states = (states[first] @ mat).reshape(-1, mat.shape[1] // n)
+    # The last layer has one mask: each row is one tuple's count.
+    hist = np.bincount(states[:, 0].astype(np.int64), weights, (1 << (n - 1)) + 1)
+    return hist.astype(np.int64)
 
 
 def full_census(
@@ -230,12 +239,12 @@ def full_census(
     """Distribution of parking probabilities at p = 1/2 over all n^n tuples.
 
     n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
-    (387420489 tuples) are allowed with allow_large=True and take about a
-    tenth of a second and about three and a half seconds in one process
-    (2-core machine, BENCH_13.json); larger n is refused.
-    The sweep runs the layered transfer kernel once per two-car prefix and
-    bincounts each prefix's choice counts, so the result is independent of
-    the thread count: workers take whole prefixes and the histograms add.
+    (387420489 tuples) are allowed with allow_large=True; larger n is
+    refused. The histogram is a DP over the distinct weighted occupancy
+    rows (_census_histogram), so n = 8 takes about 0.01 s and n = 9 well
+    under a second (2-core machine, BENCH_17.json). It runs in one
+    process: threads is validated and otherwise ignored, and any value
+    gives the same table.
 
     Self-checks raise RuntimeError: the total is n^n, and wherever the
     counting recursion counts the rule (k = 1, or first-fit at any k) the
@@ -256,21 +265,7 @@ def full_census(
             "pass allow_large=True (--allow-large on the command line) to run it"
         )
 
-    prefixes = _prefixes(n)
-    if threads > 1 and n >= 4:
-        # One task per first car's n prefixes, so the pool builds the
-        # transfer matrices n times in all, not once per prefix.
-        tasks = [(n, rule, prefixes[i : i + n]) for i in range(0, n * n, n)]
-        # Load numpy before the pool forks, so that every worker inherits
-        # it instead of importing it again.
-        import multiprocessing
-
-        import numpy  # noqa: F401
-
-        with multiprocessing.Pool(processes=threads) as pool:
-            hist = sum(pool.starmap(_census_histogram, tasks, chunksize=1))
-    else:
-        hist = _census_histogram(n, rule, prefixes)
+    hist = _census_histogram(n, rule)
     counts = tuple(hist.tolist())
     table = DistributionTable(n, k, NaplesSemantics(semantics), counts)
 
@@ -484,7 +479,7 @@ def verify_odd_census(n: int) -> VerificationReport:
     parity_violations = 0
     odd_map: dict[int, list[tuple[int, ...]]] = {}
     staircase_total = 0
-    prefixes = _prefixes(n)
+    prefixes = list(product(range(1, n + 1), repeat=2))
     for prefix, counts in zip(prefixes, _sweep(mats, prefixes)):
         np.bitwise_and(counts, 1, out=odd, casting="unsafe")
         a = prefix[0]

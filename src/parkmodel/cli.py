@@ -239,7 +239,7 @@ def table(n_max, k, p, fmt):
     default=1,
     show_default=True,
     envvar="PARKMODEL_THREADS",
-    help="Worker processes; the result is identical for any value.",
+    help="Accepted and validated (>= 1); the census runs in one process.",
 )
 @click.option(
     "--allow-large", is_flag=True, help="Permit the n = 8 and n = 9 sweeps."

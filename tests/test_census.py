@@ -67,12 +67,26 @@ class TestFullCensus:
         assert table.counts == (3, 1, 6, 1, 16)
         assert table.total() == 27
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_matches_hypercube_census(self, n):
-        hist = Counter(naive_choice_count(t) for t in all_tuples(n))
-        table = full_census(n)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "k, semantics", [(1, JUMP), (2, JUMP), (2, FIRSTFIT), (3, FIRSTFIT)]
+    )
+    def test_matches_hypercube_census(self, n, k, semantics):
+        firstfit = semantics is FIRSTFIT
+        hist = Counter(naive_choice_count(t, k, firstfit) for t in all_tuples(n))
+        table = full_census(n, k, semantics)
         for a, c in table.items():
             assert c == hist.get(a, 0)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("k, semantics", [(1, JUMP), (2, JUMP), (2, FIRSTFIT)])
+    def test_histogram_matches_the_per_tuple_sweep(self, n, k, semantics):
+        rule = _rule("naples", k, semantics)
+        counts = next(_sweep(_transfer_matrices(n, rule), [()]))
+        expected = np.bincount(counts, minlength=(1 << (n - 1)) + 1)
+        hist = census._census_histogram(n, rule)
+        assert hist.dtype == np.int64
+        assert hist.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_marginal_invariants(self, n):
@@ -90,14 +104,16 @@ class TestFullCensus:
     def test_thread_count_does_not_change_the_result(self):
         assert full_census(5, threads=3) == full_census(5, threads=1)
 
-    def test_pool_opened_before_numpy_is_loaded(self):
-        """The pool workers of an interpreter that has not loaded numpy yet
-        sum to the one-process census."""
+    def test_census_runs_in_one_process_for_any_thread_count(self):
+        """threads=2 in an interpreter that has not loaded numpy yet gives the
+        one-process census and never loads multiprocessing."""
         child = (
             "import json, sys\n"
             "from parkmodel import full_census\n"
             "before = 'numpy' in sys.modules\n"
-            "print(json.dumps([before, full_census(5, threads=2).counts]))\n"
+            "counts = full_census(5, threads=2).counts\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            "print(json.dumps([before, counts]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
         proc = subprocess.run(
@@ -158,7 +174,7 @@ class TestFullCensus:
         assert table.expectation() == expected_random_naples(n, k, HALF)
 
     def test_self_checks_run_for_firstfit_at_k_two(self, monkeypatch):
-        def shifted(n, rule, prefixes):
+        def shifted(n, rule):
             hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
             hist[1] = n**n  # right total, wrong everything else
             return hist
@@ -174,15 +190,15 @@ class TestFullCensus:
         assert table.count_for(128) == parking_count(8)
         assert table.expectation() == expected_random_naples(8, 1, HALF)
 
-    @pytest.mark.slow
     def test_nine_car_census_passes_its_self_checks(self):
         # full_census raises RuntimeError unless the total, the full and zero
         # counts and the expectation all match the recursions.
-        table = full_census(9, k=1, allow_large=True)
-        assert table.total() == 9**9
-        assert table.count_for(256) == parking_count(9)
-        assert table.count_for(0) == 9**9 - naples_count(9, 1)
-        assert table.expectation() == expected_random_naples(9, 1, HALF)
+        for k, semantics in ((1, JUMP), (2, FIRSTFIT), (3, FIRSTFIT)):
+            table = full_census(9, k, semantics, allow_large=True)
+            assert table.total() == 9**9
+            assert table.count_for(256) == parking_count(9)
+            assert table.count_for(0) == 9**9 - naples_count(9, k)
+            assert table.expectation() == expected_random_naples(9, k, HALF)
 
 
 class TestTransferKernel:
