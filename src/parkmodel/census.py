@@ -1,4 +1,4 @@
-"""Exhaustive sweeps over all n^n preference tuples and property verifiers.
+"""The census of all n^n preference tuples, staircase constructions and verifiers.
 
 The centerpiece is the distribution census: for every preference tuple,
 count the choice vectors under which it parks (k-Naples branch rule) and
@@ -13,14 +13,15 @@ n^d prefixes form one (n^d, C(n, d)) matrix, and one product with a
 per-depth transfer matrix parks the next car under every letter at once
 (the transfer-matrix form of the occupancy discipline). The products run
 in float32 through BLAS; every weight is an integer of at most 2^(n-1), so
-they are exact (see _sweep). The transfer matrices are read off
+they are exact (see _census_rows). The transfer matrices are read off
 the all-spot occupancy automaton of the Monte Carlo module
 (montecarlo._automaton), so the census lands a blocked car by the same rule
-as the simulation and the scalar walker core._park. The histogram merges
-the prefixes that leave equal rows (_census_histogram). The odd census
-names the tuple behind each odd count, so it sweeps every row (_sweep) one
-two-car prefix at a time: the largest matrix has n^(n-2) rows, and its
-buffers are allocated once per sweep.
+as the simulation and the scalar walker core._park. The one traversal of
+the matrices is a DP over distinct rows (_census_rows): prefixes that
+leave equal rows are merged before each product, and np.unique's inverse
+maps are kept, so any single tuple's count is an O(n) walk. The histogram
+and the odd census both read off that DP; the odd census walks only the
+staircases.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -59,7 +60,6 @@ if TYPE_CHECKING:
 
 CENSUS_DEFAULT_MAX_N = 7
 CENSUS_HARD_MAX_N = 9
-ODD_CENSUS_MAX_N = 8
 # float32 holds every integer up to 2^24, and a choice count is at most
 # 2^(n-1), so the census products are exact up to this car count.
 FLOAT32_EXACT_MAX_N = 25
@@ -163,18 +163,22 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
     return mats
 
 
-def _sweep(mats: list, prefixes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """Successful choice-vector counts of every tuple, one prefix at a time.
+def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
+    """The census as a DP over distinct weighted occupancy rows.
 
-    All prefixes have one length. For each in turn, yields an int64 array
-    over its n^(n - len(prefix)) completions in base-n order, the last car
-    varying fastest. Row r of the depth-d state matrix holds the weights of
-    the r-th prefix of length d; one product with the transfer matrix parks
-    the next car for every letter at once.
+    Row r of depth d holds the state weights of some prefixes of length d;
+    one product with the transfer matrix parks the next car under every
+    letter at once. Prefixes that leave equal rows have equal completions,
+    so before each product the rows are deduplicated (as np.void, like the
+    masks of montecarlo._automaton) and each distinct row carries its
+    prefix count: at most 1,942 rows per depth at n = 9, k = 1.
 
-    The product buffers of the swept depths and the count array are
-    allocated once per sweep, and every prefix overwrites them: the array
-    yielded is the same object each time, valid until the next prefix.
+    Returns (steps, counts, weights). steps[d] is np.unique's inverse map
+    at depth d, so a tuple's final row is an O(n) walk,
+    r = 0; r = steps[d][r] * n + a - 1 for each car d preferring a,
+    and counts[r] is its choice count. weights[r] is the number of tuples
+    whose walk ends on row r: n^n <= 9^9 < 2^53, so float64 adds them
+    exactly.
 
     The products run in float32 through BLAS and are exact. Every matrix
     entry is 0, 1 or 2 and every state weight is a nonnegative integer, so
@@ -183,50 +187,21 @@ def _sweep(mats: list, prefixes: Sequence[tuple[int, ...]]) -> Iterator[np.ndarr
     is at most 2^(n-1). float32 represents every integer up to 2^24, so for
     n <= FLOAT32_EXACT_MAX_N = 25 no rounding happens, in any summation
     order, with or without FMA, and at any BLAS thread count.
-    _transfer_matrices refuses larger n. Each prefix's counts are cast into
-    the int64 array at the end, for bincount and the parity test.
-    """
-    import numpy as np
-
-    n = len(mats)
-    swept = mats[len(prefixes[0]) :]
-    bufs, rows = [], 1
-    for mat in swept:
-        bufs.append(np.empty((rows, mat.shape[1]), dtype=np.float32))
-        rows *= n
-    counts = np.empty(rows, dtype=np.int64)
-    for prefix in prefixes:
-        states = np.ones((1, 1), dtype=np.float32)
-        for mat, a in zip(mats, prefix):
-            width = mat.shape[1] // n
-            states = states @ mat[:, (a - 1) * width : a * width]
-        for mat, buf in zip(swept, bufs):
-            states = np.matmul(states, mat, out=buf).reshape(-1, mat.shape[1] // n)
-        np.copyto(counts, states.ravel(), casting="unsafe")
-        yield counts
-
-
-def _census_histogram(n: int, rule: tuple) -> np.ndarray:
-    """Histogram of choice counts over all n^n tuples, a DP over distinct rows.
-
-    Prefixes that leave equal weighted occupancy rows have equal completions,
-    so before each product the rows are deduplicated (as np.void, like the
-    masks of montecarlo._automaton) and each distinct row carries its prefix
-    count: at most 1,942 rows per depth at n = 9, k = 1. Rows are exact as in
-    _sweep; the counts add in float64, exact since n^n <= 9^9 < 2^53.
+    _transfer_matrices refuses larger n.
     """
     import numpy as np
 
     states = np.ones((1, 1), dtype=np.float32)
     weights = np.ones(1)
+    steps = []
     for mat in _transfer_matrices(n, rule):
         keys = states.view(np.dtype((np.void, 4 * states.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        steps.append(inverse)
         weights = np.repeat(np.bincount(inverse, weights, len(first)), n)
         states = (states[first] @ mat).reshape(-1, mat.shape[1] // n)
-    # The last layer has one mask: each row is one tuple's count.
-    hist = np.bincount(states[:, 0].astype(np.int64), weights, (1 << (n - 1)) + 1)
-    return hist.astype(np.int64)
+    # The last layer has one mask: each row holds one count.
+    return steps, states[:, 0].astype(np.int64), weights
 
 
 def full_census(
@@ -241,7 +216,7 @@ def full_census(
     n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
     (387420489 tuples) are allowed with allow_large=True; larger n is
     refused. The histogram is a DP over the distinct weighted occupancy
-    rows (_census_histogram), so n = 8 takes about 0.01 s and n = 9 well
+    rows (_census_rows), so n = 8 takes about 0.01 s and n = 9 well
     under a second (2-core machine, BENCH_17.json). It runs in one
     process: threads is validated and otherwise ignored, and any value
     gives the same table.
@@ -265,7 +240,10 @@ def full_census(
             "pass allow_large=True (--allow-large on the command line) to run it"
         )
 
-    hist = _census_histogram(n, rule)
+    import numpy as np
+
+    _, row_counts, weights = _census_rows(n, rule)
+    hist = np.bincount(row_counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
     counts = tuple(hist.tolist())
     table = DistributionTable(n, k, NaplesSemantics(semantics), counts)
 
@@ -447,61 +425,50 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
 
 
 def verify_odd_census(n: int) -> VerificationReport:
-    """Sweep all n^n tuples and confirm the odd-count structure.
+    """Census all n^n tuples and confirm the odd-count structure.
 
     Checks: a tuple's choice count is odd exactly when the tuple is a
     staircase; the odd counts hit each of {1, 3, ..., 2^(n-1) - 1} exactly
     once; there are exactly 2^(n-2) staircases; and the closed form matches
-    the swept count on every staircase. Findings map each odd numerator to
-    its unique tuple. A staircase starts with two equal cars, so only the n
-    chunks with prefix (a, a) are searched for staircases; on every other
-    chunk each odd count is a parity violation.
+    the census count on every staircase. Findings map each odd numerator to
+    its unique tuple.
+
+    Everything is read off one distinct-row DP (_census_rows): the weighted
+    histogram of all counts, and each staircase's own count by its O(n)
+    row walk. The staircases are those iter_staircase_shapes expands to,
+    so the parity violations are the staircases with an even count plus
+    the odd-count tuples that are not staircases: every odd-count tuple in
+    the histogram less the staircases among them.
     """
     _check_int(n, "car count n")
-    if not 2 <= n <= ODD_CENSUS_MAX_N:
+    if not 2 <= n <= CENSUS_HARD_MAX_N:
         raise ValueError(
-            f"the exhaustive odd-count sweep supports 2 <= n <= {ODD_CENSUS_MAX_N}, got {n}"
+            f"the exhaustive odd-count sweep supports 2 <= n <= {CENSUS_HARD_MAX_N}, got {n}"
         )
     import numpy as np
 
-    mats = _transfer_matrices(n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS))
-    # Row r of every chunk ends in the cars suffix[:, r]. In chunk (a, a) it
-    # is a staircase when the suffix steps down by 0 or 1 to a final 2
-    # (tail_ok) from a first car (head) of a or a - 1. At n = 2 there is no
-    # suffix and (a, a) must end in 2 itself, which a head of 2 says.
-    rows = n ** (n - 2)
-    suffix = (np.indices((n,) * (n - 2), dtype=np.int8) + 1).reshape(n - 2, rows)
-    steps = suffix[:-1] - suffix[1:]
-    tail_ok = ((steps == 0) | (steps == 1)).all(axis=0) & (suffix[-1:] == 2).all(axis=0)
-    head = suffix[0] if n > 2 else np.full(1, 2, dtype=np.int8)
-    odd = np.empty(rows, dtype=bool)
-
-    parity_violations = 0
-    odd_map: dict[int, list[tuple[int, ...]]] = {}
-    staircase_total = 0
-    prefixes = list(product(range(1, n + 1), repeat=2))
-    for prefix, counts in zip(prefixes, _sweep(mats, prefixes)):
-        np.bitwise_and(counts, 1, out=odd, casting="unsafe")
-        a = prefix[0]
-        if prefix[1] == a:
-            stair = tail_ok & ((head == a) | (head == a - 1))
-            staircase_total += int(np.count_nonzero(stair))
-            parity_violations += int(np.count_nonzero(stair ^ odd))
-        else:
-            parity_violations += int(np.count_nonzero(odd))
-        for i in np.flatnonzero(odd):
-            odd_map.setdefault(int(counts[i]), []).append(
-                prefix + tuple(suffix[:, i].tolist())
-            )
-
-    expected_odds = set(range(1, 1 << (n - 1), 2))
-    bijection_ok = (
-        set(odd_map) == expected_odds and all(len(v) == 1 for v in odd_map.values())
+    steps, counts, weights = _census_rows(
+        n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
     )
+    hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64).tolist()
+    stairs = {}
+    for shape in iter_staircase_shapes(n):
+        alpha = shape.expand()
+        if is_staircase(alpha):
+            r = 0
+            for inverse, a in zip(steps, alpha):
+                r = int(inverse[r]) * n + a - 1
+            stairs[alpha] = (shape, int(counts[r]))
+
+    odd = hist[1::2]
+    odd_stairs = sum(g & 1 for _, g in stairs.values())
+    # Staircases with an even count, plus odd-count tuples that are not one.
+    parity_violations = (len(stairs) - odd_stairs) + (sum(odd) - odd_stairs)
+    expected = 1 << (n - 2)
     closed_form_bad = [
         shape
-        for shape in iter_staircase_shapes(n)
-        if odd_map.get(staircase_choice_count(shape), []) != [shape.expand()]
+        for shape, g in stairs.values()
+        if g != staircase_choice_count(shape) or hist[g] != 1
     ]
 
     checks = (
@@ -512,13 +479,13 @@ def verify_odd_census(n: int) -> VerificationReport:
         ),
         CheckResult(
             "odd numerators each hit once",
-            bijection_ok,
-            f"{len(odd_map)} distinct odd numerators, expected {len(expected_odds)}",
+            all(c == 1 for c in odd),
+            f"{sum(c > 0 for c in odd)} distinct odd numerators, expected {expected}",
         ),
         CheckResult(
             "staircase count",
-            staircase_total == 1 << (n - 2),
-            f"found {staircase_total}, expected {1 << (n - 2)}",
+            len(stairs) == expected,
+            f"found {len(stairs)}, expected {expected}",
         ),
         CheckResult(
             "closed form matches sweep on staircases",
@@ -526,7 +493,9 @@ def verify_odd_census(n: int) -> VerificationReport:
             f"{len(closed_form_bad)} mismatching shapes",
         ),
     )
-    findings = {g: tups[0] for g, tups in sorted(odd_map.items()) if len(tups) == 1}
+    findings = dict(
+        sorted((g, alpha) for alpha, (_, g) in stairs.items() if g & 1 and hist[g] == 1)
+    )
     return VerificationReport("odd-census", checks, findings)
 
 

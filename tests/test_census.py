@@ -6,7 +6,6 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +38,38 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
-from parkmodel.census import _sweep, _transfer_matrices
+from parkmodel.census import _census_rows, _transfer_matrices
 from parkmodel.core import _rule
-from parkmodel.exact import _POLY_FACTORS, _point_weight, _success_sum
+from parkmodel.exact import (
+    _POLY_FACTORS,
+    _line_moves,
+    _park_each,
+    _point_weight,
+    _success_sum,
+)
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
 HALF = Fraction(1, 2)
+
+
+def _walk(steps, n, alpha):
+    """The DP row a tuple ends on: census._census_rows's O(n) walk."""
+    r = 0
+    for inverse, a in zip(steps, alpha):
+        r = int(inverse[r]) * n + a - 1
+    return r
+
+
+def _every_count(n, rule):
+    """Every tuple's choice count off the DP, in product order."""
+    steps, counts, _ = _census_rows(n, rule)
+    rows = np.zeros(1, dtype=np.intp)
+    for inverse in steps:
+        rows = (inverse[rows][:, None] * n + np.arange(n)).ravel()
+    return counts[rows]
 
 
 class TestFullCensus:
@@ -78,15 +100,24 @@ class TestFullCensus:
         for a, c in table.items():
             assert c == hist.get(a, 0)
 
-    @pytest.mark.parametrize("n", [6, 7])
-    @pytest.mark.parametrize("k, semantics", [(1, JUMP), (2, JUMP), (2, FIRSTFIT)])
-    def test_histogram_matches_the_per_tuple_sweep(self, n, k, semantics):
+    @pytest.mark.parametrize(
+        "n, k, semantics",
+        [
+            (6, 1, JUMP),
+            (6, 2, JUMP),
+            (6, 2, FIRSTFIT),
+            pytest.param(7, 1, JUMP, marks=pytest.mark.slow),
+        ],
+    )
+    def test_histogram_matches_the_exact_point_carry(self, n, k, semantics):
+        # The dict-per-mask point carry of exact.py shares no census code; at
+        # factors (2, 1, 1) its states sum to the tuple's choice count.
         rule = _rule("naples", k, semantics)
-        counts = next(_sweep(_transfer_matrices(n, rule), [()]))
-        expected = np.bincount(counts, minlength=(1 << (n - 1)) + 1)
-        hist = census._census_histogram(n, rule)
-        assert hist.dtype == np.int64
-        assert hist.tolist() == expected.tolist()
+        every = _park_each([range(1, n + 1)] * n, _line_moves(n, rule), 1, (2, 1, 1))
+        expected = [sum(states.values()) for _, states in every]
+        assert _every_count(n, rule).tolist() == expected
+        table = full_census(n, k, semantics)
+        assert table.counts == tuple(np.bincount(expected, minlength=len(table.counts)))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_marginal_invariants(self, n):
@@ -175,11 +206,10 @@ class TestFullCensus:
 
     def test_self_checks_run_for_firstfit_at_k_two(self, monkeypatch):
         def shifted(n, rule):
-            hist = np.zeros((1 << (n - 1)) + 1, dtype=np.int64)
-            hist[1] = n**n  # right total, wrong everything else
-            return hist
+            # One row of count 1 for every tuple: right total, wrong all else.
+            return [], np.ones(1, dtype=np.int64), np.full(1, float(n**n))
 
-        monkeypatch.setattr(census, "_census_histogram", shifted)
+        monkeypatch.setattr(census, "_census_rows", shifted)
         with pytest.raises(RuntimeError):
             full_census(4, 2, FIRSTFIT)
         assert full_census(4, 2, JUMP).total() == 4**4
@@ -206,28 +236,16 @@ class TestTransferKernel:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
     def test_every_tuple_matches_the_hypercube_count(self, n, k, semantics):
-        mats = _transfer_matrices(n, _rule("naples", k, semantics))
-        counts = next(_sweep(mats, [()]))
+        steps, counts, weights = _census_rows(n, _rule("naples", k, semantics))
         firstfit = semantics is FIRSTFIT
-        expected = [naive_choice_count(t, k, firstfit) for t in all_tuples(n)]
+        walked = Counter()
         assert counts.dtype == np.int64
-        assert counts.tolist() == expected
-
-    @pytest.mark.parametrize("n", [2, 4, 5])
-    def test_prefix_chunks_tile_the_whole_sweep(self, n):
-        mats = _transfer_matrices(n, _rule("naples", 2, FIRSTFIT))
-        prefixes = list(product(range(1, n + 1), repeat=2))
-        chunks = [counts.copy() for counts in _sweep(mats, prefixes)]
-        assert np.concatenate(chunks).tolist() == next(_sweep(mats, [()])).tolist()
-
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_every_prefix_fills_one_count_buffer(self, n):
-        mats = _transfer_matrices(n, _rule("naples", 1, JUMP))
-        prefixes = list(product(range(1, n + 1), repeat=2))
-        # Holding every yielded array keeps a fresh allocation off a freed address.
-        yielded = list(_sweep(mats, prefixes))
-        assert len(yielded) == n * n
-        assert len({counts.ctypes.data for counts in yielded}) == 1
+        for t in all_tuples(n):
+            r = _walk(steps, n, t)
+            assert counts[r] == naive_choice_count(t, k, firstfit)
+            walked[r] += 1
+        # Each row's weight is the number of tuples whose walk ends on it.
+        assert weights.tolist() == [walked[r] for r in range(len(counts))]
 
     def test_float32_exactness_bound_is_enforced_before_the_automaton(
         self, monkeypatch
@@ -435,40 +453,48 @@ class TestVerifiers:
         for g, alpha in report.findings.items():
             assert alpha == tuple_for_odd_numerator(8, (g + 1) // 2)
 
-    @pytest.mark.parametrize("prefix", [(1, 2), (3, 3)])
-    def test_odd_census_catches_a_planted_odd_count(self, monkeypatch, prefix):
-        # (1, 2) holds no staircase and is never searched for one; (3, 3) is
-        # searched, and its row (3, 3, 1, 1, 1) is no staircase.
-        sweep = census._sweep
+    def test_odd_census_nine_cars(self):
+        report = verify_odd_census(9)
+        assert report.passed
+        assert list(report.findings) == list(range(1, 256, 2))
+        for g, alpha in report.findings.items():
+            assert alpha == tuple_for_odd_numerator(9, (g + 1) // 2)
 
-        def planted(mats, prefixes):
-            for chunk, counts in zip(prefixes, sweep(mats, prefixes)):
-                if chunk == prefix:
-                    counts[0] |= 1
-                yield counts
+    @pytest.mark.parametrize("holds_staircase", [False, True])
+    def test_odd_census_catches_a_planted_odd_count(self, monkeypatch, holds_staircase):
+        # Flipping one final row's parity flips the count of every tuple whose
+        # walk ends there: the heaviest row that holds no staircase turns all
+        # its tuples odd, and a staircase's row (weight 1) turns it even.
+        n = 5
+        rows = census._census_rows
+        steps, _, weights = rows(n, _rule("naples", 1, JUMP))
+        stairs = {_walk(steps, n, s.expand()) for s in iter_staircase_shapes(n)}
+        if holds_staircase:
+            row = min(stairs)
+        else:
+            row = max(set(range(len(weights))) - stairs, key=lambda r: weights[r])
+            assert weights[row] > 1
 
-        monkeypatch.setattr(census, "_sweep", planted)
-        report = verify_odd_census(5)
+        def planted(n, rule):
+            steps, counts, weights = rows(n, rule)
+            counts = counts.copy()
+            counts[row] ^= 1
+            return steps, counts, weights
+
+        monkeypatch.setattr(census, "_census_rows", planted)
+        report = verify_odd_census(n)
         parity = report.checks[0]
         assert parity.label == "odd count iff staircase"
         assert not parity.passed
-        assert parity.detail == "3125 tuples swept, 1 violations"
+        assert parity.detail == f"3125 tuples swept, {int(weights[row])} violations"
         assert not report.passed
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_odd_census_staircase_test_matches_is_staircase(self, monkeypatch, n):
-        # Counts that are odd exactly on is_staircase tuples leave no parity
-        # violation only if the census tests every tuple the same way,
-        # including the chunks it never searches for staircases.
-        def staircase_parity(mats, prefixes):
-            for prefix in prefixes:
-                rests = product(range(1, n + 1), repeat=n - 2)
-                yield np.array([is_staircase(prefix + r) for r in rests], np.int64)
-
-        monkeypatch.setattr(census, "_sweep", staircase_parity)
-        parity, _, count, _ = verify_odd_census(n).checks
-        assert parity.detail == f"{n**n} tuples swept, 0 violations"
-        assert count.passed
+    def test_staircase_shapes_expand_to_every_staircase(self, n):
+        # The odd census finds staircases only through the shapes, so its
+        # parity row is sound only if they expand to every staircase tuple.
+        expanded = {s.expand() for s in iter_staircase_shapes(n)}
+        assert expanded == {t for t in all_tuples(n) if is_staircase(t)}
 
     def test_sandwich(self):
         report = verify_sandwich(10)
@@ -561,7 +587,7 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_odd_census(1)
         with pytest.raises(ValueError):
-            verify_odd_census(9)
+            verify_odd_census(10)
         with pytest.raises(ValueError):
             verify_sandwich(0)
         with pytest.raises(ValueError):
