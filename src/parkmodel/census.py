@@ -15,13 +15,14 @@ per-depth transfer matrix parks the next car under every letter at once
 in float32 through BLAS; every weight is an integer of at most 2^(n-1), so
 they are exact (see _census_rows). The transfer matrices are read off
 the all-spot occupancy automaton of the Monte Carlo module
-(montecarlo._automaton), so the census lands a blocked car by the same rule
-as the simulation and the scalar walker core._park. The one traversal of
-the matrices is a DP over distinct rows (_census_rows): prefixes that
-leave equal rows are merged before each product, and np.unique's inverse
-maps are kept, so any single tuple's count is an O(n) walk. The histogram
-and the odd census both read off that DP; the odd census walks only the
-staircases.
+(montecarlo._all_spot_automaton), whose layer d is built in closed form as
+every mask of popcount d, so the census lands a blocked car by the same
+rule as the simulation and the scalar walker core._park. The one
+traversal of the matrices is a DP over distinct rows (_census_rows):
+prefixes that leave equal rows are merged before each product, and
+np.unique's inverse maps are kept, so any single tuple's count is an O(n)
+walk. The histogram and the odd census both read off that DP; the odd
+census walks only the staircases.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -52,7 +53,7 @@ from .core import (
     _rule,
 )
 from .exact import Poly, _point_weight, _success_poly, parking_choice_count
-from .montecarlo import _automaton
+from .montecarlo import _all_spot_automaton
 from .recursions import expected_random_naples, naples_count, parking_count
 
 if TYPE_CHECKING:
@@ -130,7 +131,8 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
 
     After d cars every surviving occupancy mask has popcount d, so depth d
     has C(n, d) states: layer d of the all-spot automaton
-    (montecarlo._automaton), in its order. Matrix d has shape
+    (montecarlo._all_spot_automaton), in its order, ascending as masks with
+    spot j at bit n-1-j. Matrix d has shape
     (C(n, d), n * C(n, d+1)): column block a-1 moves car d+1, preferring
     spot a, from each depth-d mask to the masks it can fill. An entry counts
     the choice-bit values that make that move, read off car d+1's table:
@@ -148,7 +150,7 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
             f"{FLOAT32_EXACT_MAX_N}, got n={n}"
         )
     # No cell bound: all 2^n masks, 2n cells each, at n <= CENSUS_HARD_MAX_N.
-    auto = _automaton(None, n, *rule, np.inf)
+    auto = _all_spot_automaton(n, *rule, np.inf)
     mats = []
     for d, table in auto.steps:
         # The next layer's dead state is its width, and fills the last cell.
@@ -169,8 +171,8 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     Row r of depth d holds the state weights of some prefixes of length d;
     one product with the transfer matrix parks the next car under every
     letter at once. Prefixes that leave equal rows have equal completions,
-    so before each product the rows are deduplicated (as np.void, like the
-    masks of montecarlo._automaton) and each distinct row carries its
+    so before each product the rows are deduplicated (np.unique over each
+    row's bytes as one np.void key) and each distinct row carries its
     prefix count: at most 1,942 rows per depth at n = 9, k = 1.
 
     Returns (steps, counts, weights). steps[d] is np.unique's inverse map

@@ -20,19 +20,22 @@ The p-weighted event is the model's coin as the models define it: under the
 random-direction rule it is the forward branch, under the random Naples
 rule the backward branch.
 
-Trials are walked through an occupancy automaton built once per call
-(_automaton). A breadth-first search from the empty lot, one car at a time,
-keeps the distinct occupancy masks reachable after each car, and gives the
-car a flat table from (state, preferred spot, choice bit) to the next state,
-held as intp (numpy's native index type, so no gather converts its index
-array); a dead state holds the runs that have failed. Every trial of a chunk
-then costs one gather per car (_walk). When the automaton would hold more
-cells than one chunk's walk touches row-car cells (totals at large n,
-pathological tuples), the search stops and each chunk is replayed by
-_parks_rows over a bool occupancy matrix instead. Both land a blocked car
-by _land, the rule of the scalar walker core._park, so the estimates equal
-those of a per-trial replay. The census builds its transfer matrices from
-the all-spot automaton too.
+Trials are walked through an occupancy automaton built once per call. It
+gives each car a flat table from (state, preferred spot, choice bit) to the
+next state, held as intp (numpy's native index type, so no gather converts
+its index array); a dead state holds the runs that have failed. Every trial
+of a chunk then costs one gather per car (_walk). For a fixed tuple the
+reachable occupancy masks are not known in advance, so _automaton finds
+them by a breadth-first search from the empty lot, one car at a time. With
+every spot available they are: after d cars, every mask of popcount d. So
+_all_spot_automaton, which the expected total walks and the census reads
+its transfer matrices from, builds every table in closed form, in one pass
+over all 2^n masks. When the automaton would hold more cells than one
+chunk's walk touches row-car cells (totals at large n, pathological
+tuples), neither is built, and each chunk is replayed by _parks_rows over a
+bool occupancy matrix instead. All three land a blocked car by _land, the
+rule of the scalar walker core._park, so the estimates equal those of a
+per-trial replay.
 
 numpy is imported inside each function that uses it, not at module top:
 the package and its CLI import this module for every command, and most
@@ -197,38 +200,33 @@ class _Automaton:
 
 
 def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int):
-    """The occupancy automaton of n cars, or None past budget table cells.
+    """The occupancy automaton of the fixed tuple prefs, or None past budget cells.
 
-    prefs is the fixed tuple, or None when every car may prefer every spot.
     Layer i holds the distinct masks reachable after i cars, plus a dead
-    state. Car i may prefer m spots (1 or n); its table maps
-    state * 2m + 2j + b to the next layer's state, where j indexes the spot
-    and b is the choice bit. With every spot, j is the 1-based preference:
-    the table then starts with two pad cells. A fixed car whose spot is free
-    in every reachable state consults no bit and keeps every state's index,
-    so it needs no table; every car of the all-spot automaton has one.
+    state, numbered as np.unique orders their packed bytes. Car i's table
+    maps state * 2 + b to the next layer's state, where b is the choice bit.
+    A car whose spot is free in every reachable state consults no bit and
+    keeps every state's index, so it needs no table.
     """
     import numpy as np
 
     masks = np.zeros((1, n), dtype=bool)
     steps, cells, peak = [], 0, 1
-    for i in range(n):
-        spots = np.arange(n) if prefs is None else np.array([prefs[i] - 1])
-        m = len(spots)
-        if prefs is not None and not masks[:, spots[0]].any():
-            masks[:, spots[0]] = True
+    for i, spot in enumerate(prefs):
+        spot -= 1
+        if not masks[:, spot].any():
+            masks[:, spot] = True
             continue
-        cells += (len(masks) + 1) * 2 * m
+        cells += (len(masks) + 1) * 2
         if cells > budget:
             return None
-        # Candidate row (s * m + j) * 2 + b: state s, spot j, bit b.
-        occ = np.repeat(masks, 2 * m, axis=0)
-        a = np.tile(np.repeat(spots, 2), len(masks))
-        rows = np.arange(len(a))
-        blocked = occ[rows, a]
-        land = a.copy()
+        # Candidate row 2s + b: state s, bit b.
+        occ = np.repeat(masks, 2, axis=0)
+        rows = np.arange(len(occ))
+        blocked = occ[:, spot]
+        land = np.full(len(occ), spot)
         fwd = rows[blocked] % 2 == 1
-        land[blocked] = _land(occ[blocked], a[blocked], fwd, naples, k, firstfit)
+        land[blocked] = _land(occ[blocked], land[blocked], fwd, naples, k, firstfit)
         rows = rows[land >= 0]
         occ[rows, land[rows]] = True
         packed = np.packbits(occ[rows], axis=1)
@@ -236,10 +234,57 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         masks = occ[rows[first]]
         peak = max(peak, len(masks))
-        table = np.full(len(occ) + 2 * m, len(masks), dtype=np.intp)
+        table = np.full(len(occ) + 2, len(masks), dtype=np.intp)
         table[rows] = inverse
-        steps.append((i, np.pad(table, (2, 0)) if prefs is None else table))
+        steps.append((i, table))
     return _Automaton(steps, len(masks), peak)
+
+
+def _all_spot_automaton(n: int, naples: bool, k: int, firstfit: bool, budget: int):
+    """The automaton of n cars that may each prefer any spot, or None past budget.
+
+    Layer d is every mask of popcount d, C(n, d) states numbered in
+    ascending order of the mask with spot j at bit n-1-j (the order
+    np.unique gives packed bytes), plus a dead state C(n, d). Car d's table
+    maps 2 + state * 2n + 2(a-1) + b to the next layer's state, where a is
+    the 1-based preferred spot and b the choice bit, so two pad cells lead
+    it. The table cells number sum over d < n of (C(n, d) + 1) * 2n, that is
+    (2^n - 1 + n) * 2n, and past budget nothing is allocated. Every cell is
+    found in one pass: a free spot is filled, a blocked car lands by _land,
+    and the next mask's rank within its popcount comes from one lookup.
+    """
+    import numpy as np
+    from math import comb
+
+    if (2**n - 1 + n) * 2 * n > budget:
+        return None
+    widths = [comb(n, d) for d in range(n + 1)]
+    pop = np.zeros(1 << n, dtype=np.intp)
+    for i in range(n):
+        pop[1 << i : 2 << i] = pop[: 1 << i] + 1
+    # Every mask, by popcount and then ascending: layer d is order[starts[d]:].
+    order = np.argsort(pop, kind="stable")
+    starts = np.cumsum([0] + widths)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(1 << n) - starts[pop[order]]
+    bit = 1 << np.arange(n - 1, -1, -1)
+    # Row r of cells is the state order[r], column 2j + b its spot j, bit b;
+    # the full mask starts no car.
+    order = order[:-1]
+    occ = order[:, None] & bit != 0
+    cells = np.repeat(rank[order[:, None] | bit], 2, axis=1)
+    r, j = np.nonzero(occ)
+    dead = np.array(widths[1:])[pop[order[r]]]
+    for b in (0, 1):
+        land = _land(occ[r], j, np.full(len(r), b == 1), naples, k, firstfit)
+        cells[r, 2 * j + b] = np.where(land >= 0, rank[order[r] | bit[land]], dead)
+    steps = []
+    for d in range(n):
+        table = np.full(2 + (widths[d] + 1) * 2 * n, widths[d + 1], dtype=np.intp)
+        table[:2] = 0
+        table[2 : -2 * n] = cells[starts[d] : starts[d + 1]].ravel()
+        steps.append((d, table))
+    return _Automaton(steps, widths[n], widths[n // 2])
 
 
 def _walk(auto: _Automaton, prefs, bits) -> np.ndarray:
@@ -295,7 +340,10 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     nbits = n - 1
     thr = _threshold(p)
     chunk_rows = min(CHUNK_TRIALS, samples) * per_sample
-    auto = _automaton(prefs, n, *rule, chunk_rows * n)
+    if prefs is None:
+        auto = _all_spot_automaton(n, *rule, chunk_rows * n)
+    else:
+        auto = _automaton(prefs, n, *rule, chunk_rows * n)
 
     total = 0
     total_sq = 0.0

@@ -35,6 +35,35 @@ def _cases() -> dict[str, list[str]]:
                 "census", "--n", str(n), "--k", str(k),
                 "--semantics", semantics, "--format", "json",
             ]
+    rules = {
+        "k1-jump": ["--model", "naples", "--k", "1", "--semantics", "jump"],
+        "k2-firstfit": ["--model", "naples", "--k", "2", "--semantics", "firstfit"],
+        "direction": ["--model", "direction"],
+    }
+    # At 1,000 samples the automaton budget is 1000 * n cells: n <= 8 walks
+    # the all-spot automaton and n = 9 replays (test_golden checks the split).
+    for name, rule in rules.items():
+        for n in range(1, 10):
+            cases[f"mc-n{n}-{name}-json"] = [
+                "mc", "--n", str(n), *rule, "--tuple-samples", "1000",
+                "--seed", "3", "--format", "json",
+            ]
+        if name != "k2-firstfit":
+            for n in (4, 8, 9):
+                for p in ("0", "1"):
+                    cases[f"mc-n{n}-{name}-p{p}-json"] = [
+                        "mc", "--n", str(n), *rule, "--p", p,
+                        "--tuple-samples", "1000", "--seed", "3", "--format", "json",
+                    ]
+    alphas = {
+        "222-naples": ["--alpha", "2,2,2", "--model", "naples"],
+        "33312-direction": ["--alpha", "3,3,3,1,2", "--model", "direction", "--p", "1/3"],
+    }
+    for name, args in alphas.items():
+        for fmt in ("text", "json", "csv"):
+            cases[f"mc-alpha-{name}-{fmt}"] = [
+                "mc", *args, "--trials", "1000", "--seed", "3", "--format", fmt,
+            ]
     return cases
 
 

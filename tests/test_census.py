@@ -253,10 +253,10 @@ class TestTransferKernel:
         built = []
 
         def automaton(*args):
-            built.append(args[1])
+            built.append(args[0])
             raise LookupError("automaton reached")
 
-        monkeypatch.setattr(census, "_automaton", automaton)
+        monkeypatch.setattr(census, "_all_spot_automaton", automaton)
         with pytest.raises(ValueError, match="float32"):
             _transfer_matrices(26, _rule("naples", 1, JUMP))
         assert built == []

@@ -1,7 +1,10 @@
 """Seeded simulation: reproducibility, degenerate exactness, calibration."""
 
+import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -124,6 +127,7 @@ class TestReproducibility:
         )
         via_automaton = estimate_prob(**prob), estimate_expected_total(**total)
         monkeypatch.setattr(montecarlo, "_automaton", lambda *args: None)
+        monkeypatch.setattr(montecarlo, "_all_spot_automaton", lambda *args: None)
         via_replay = estimate_prob(**prob), estimate_expected_total(**total)
         assert via_automaton == via_replay
         for auto, replay in zip(via_automaton, via_replay):
@@ -401,7 +405,7 @@ class TestAutomaton:
                     for t in tuples.tolist()
                 ]
             )
-            every = montecarlo._automaton(None, n, naples, k, firstfit, 1 << 20)
+            every = montecarlo._all_spot_automaton(n, naples, k, firstfit, 1 << 20)
             bits = np.broadcast_to(choices, (len(tuples), *choices.shape))
             got = montecarlo._walk(every, tuples[:, None, :], bits)
             assert (got == want).all(), (naples, k, firstfit)
@@ -438,7 +442,10 @@ class TestAutomaton:
             prefs = np.tile(fixed, (300, 1))
         bits = rng.random((300, n - 1)) < 0.5
         for config in WALKER_CONFIGS:
-            auto = montecarlo._automaton(fixed, n, *config, 1 << 20)
+            if fixed is None:
+                auto = montecarlo._all_spot_automaton(n, *config, 1 << 20)
+            else:
+                auto = montecarlo._automaton(fixed, n, *config, 1 << 20)
             assert auto.steps, config
             assert all(table.dtype == np.intp for _, table in auto.steps), config
             walked = montecarlo._walk(auto, prefs if fixed is None else None, bits)
@@ -446,14 +453,63 @@ class TestAutomaton:
             assert (walked == parked).all(), config
 
     def test_all_spot_layers_hold_every_mask_of_their_popcount(self):
-        auto = montecarlo._automaton(None, 10, True, 1, False, 1 << 20)
+        auto = montecarlo._all_spot_automaton(10, True, 1, False, 1 << 20)
         assert auto.states_peak == 252
         assert [i for i, _ in auto.steps] == list(range(10))
 
     def test_bound_stops_the_search(self):
         # Layers 0 and 1 of the 24-spot automaton hold 96 + 1200 cells.
-        assert montecarlo._automaton(None, 24, False, 1, False, 1295) is None
+        assert montecarlo._all_spot_automaton(24, False, 1, False, 1295) is None
         assert montecarlo._automaton((1,) * 24, 24, False, 1, False, 47) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_all_spot_cells_match_parks(self, n):
+        # State s of layer d is the s-th popcount-d mask, ascending with spot
+        # j at bit n-1-j. Its first d cars take its spots directly; car d+1
+        # prefers spot a with bit b, and must reach the rank of the mask
+        # _park leaves, or the dead state where it fails.
+        layers = [
+            sorted(sum(1 << (n - 1 - j) for j in c) for c in combinations(range(n), d))
+            for d in range(n + 1)
+        ]
+        for naples, k, firstfit in WALKER_CONFIGS:
+            auto = montecarlo._all_spot_automaton(n, naples, k, firstfit, 1 << 20)
+            assert (auto.dead, auto.states_peak) == (1, comb(n, n // 2))
+            assert [i for i, _ in auto.steps] == list(range(n))
+            for d, table in auto.steps:
+                width, nxt = len(layers[d]), layers[d + 1]
+                assert table.dtype == np.intp
+                assert len(table) == 2 + (width + 1) * 2 * n
+                assert table[:2].tolist() == [0, 0]
+                assert (table[2 + width * 2 * n :] == len(nxt)).all()
+                for s, mask in enumerate(layers[d]):
+                    head = [j + 1 for j in range(n) if mask >> (n - 1 - j) & 1]
+                    for a, b in product(range(1, n + 1), (0, 1)):
+                        prefs = head + [a] + [1] * (n - d - 1)
+                        spots = _park(prefs, b << (d - 1) if d else 0, naples, k, firstfit)
+                        if len(spots) > d:
+                            want = nxt.index(sum(1 << (n - x) for x in spots[: d + 1]))
+                        else:
+                            want = len(nxt)
+                        cell = table[2 + s * 2 * n + 2 * (a - 1) + b]
+                        assert cell == want, (naples, k, firstfit, d, s, a, b)
+
+    def test_all_spot_budget_is_decided_before_building(self):
+        for n in range(1, 13):
+            total = sum((comb(n, d) + 1) * 2 * n for d in range(n))
+            assert montecarlo._all_spot_automaton(n, True, 1, False, total - 1) is None
+            assert montecarlo._all_spot_automaton(n, True, 1, False, total) is not None
+        # 2^40 masks are never allocated: the refusal costs a few integers.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            assert montecarlo._all_spot_automaton(40, True, 1, False, 10**6) is None
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
     def test_large_total_takes_the_replay_path(self):
         est = estimate_expected_total(
