@@ -1,10 +1,10 @@
 """Regenerate the golden CLI corpus in tests/golden/.
 
 Each case runs one `parkmodel` invocation in-process through click's
-CliRunner and stores its exact stdout as golden/<name>.out; index.json maps
-every name to its arguments and exit code. test_golden.py replays the index
-and compares bytes, so any change to a pinned output shows up as a diff of
-these files.
+CliRunner and stores its exact stdout as golden/<name>.out, and its stderr,
+when there is any, as golden/<name>.err; index.json maps every name to its
+arguments and exit code. test_golden.py replays the index and compares
+bytes, so any change to a pinned output shows up as a diff of these files.
 
     PYTHONPATH=src python tests/regen_golden.py
 
@@ -64,6 +64,104 @@ def _cases() -> dict[str, list[str]]:
             cases[f"mc-alpha-{name}-{fmt}"] = [
                 "mc", *args, "--trials", "1000", "--seed", "3", "--format", fmt,
             ]
+    fmts = ("text", "json", "csv")
+    probs = {
+        "222-naples-k1": ["--alpha", "2,2,2", "--model", "naples", "--k", "1"],
+        "3113-direction": ["--alpha", "3,1,1,3", "--model", "direction"],
+        "14443-naples-k2-jump": [
+            "--alpha", "1,4,4,4,3", "--model", "naples", "--k", "2", "--semantics", "jump",
+        ],
+        "14443-naples-k2-firstfit": [
+            "--alpha", "1,4,4,4,3", "--model", "naples", "--k", "2",
+            "--semantics", "firstfit",
+        ],
+    }
+    for name, args in probs.items():
+        for p, suffix in ((None, "poly"), ("1/3", "p1-3")):
+            extra = [] if p is None else ["--p", p]
+            for fmt in fmts:
+                cases[f"prob-{name}-{suffix}-{fmt}"] = [
+                    "prob", *args, *extra, "--format", fmt,
+                ]
+    for k in (1, 2):
+        for fmt in fmts:
+            cases[f"table-n6-k{k}-{fmt}"] = [
+                "table", "--n-max", "6", "--k", str(k), "--format", fmt,
+            ]
+    for k, semantics in ((1, "jump"), (2, "jump"), (2, "firstfit")):
+        for n in range(1, 7):
+            for fmt in ("text", "csv"):
+                cases[f"census-n{n}-k{k}-{semantics}-{fmt}"] = [
+                    "census", "--n", str(n), "--k", str(k),
+                    "--semantics", semantics, "--format", fmt,
+                ]
+    checks = {
+        "monotonicity-n4": ["--check", "monotonicity", "--n", "4"],
+        "monotonicity-n6-sampled": [
+            "--check", "monotonicity", "--n", "6", "--samples", "2000", "--seed", "5",
+        ],
+        "sandwich-n6": ["--check", "sandwich", "--n", "6"],
+        **{
+            f"theorem2-n{n}": ["--check", "theorem2", "--n", str(n)]
+            for n in range(1, 6)
+        },
+        **{
+            f"circular-shift-n{n}": ["--check", "circular-shift", "--n", str(n)]
+            for n in range(1, 4)
+        },
+    }
+    for name, args in checks.items():
+        for fmt in fmts:
+            cases[f"verify-{name}-{fmt}"] = ["verify", *args, "--format", fmt]
+    for name, args in {"t3": ["--t", "3"], "a6": ["--a", "6"]}.items():
+        for fmt in fmts:
+            cases[f"construct-n5-{name}-{fmt}"] = [
+                "construct", "--n", "5", *args, "--format", fmt,
+            ]
+    for fmt in fmts:
+        cases[f"mc-n4-k1-jump-tpt4-{fmt}"] = [
+            "mc", "--n", "4", *rules["k1-jump"], "--tuple-samples", "1000",
+            "--trials-per-tuple", "4", "--seed", "3", "--format", fmt,
+        ]
+    # One sample of several trials: the stderr of a single observation is 0.
+    cases["mc-n3-k1-jump-one-sample-json"] = [
+        "mc", "--n", "3", *rules["k1-jump"], "--tuple-samples", "1",
+        "--trials-per-tuple", "4", "--seed", "3", "--format", "json",
+    ]
+    for name, args in alphas.items():
+        for p in ("0", "1"):
+            cases[f"mc-alpha-{name}-p{p}-json"] = [
+                "mc", *args, "--p", p, "--trials", "1000", "--seed", "3",
+                "--format", "json",
+            ]
+    # Exit 2: malformed flags, refused by click before any command runs.
+    cases.update({
+        "prob-p-zero-denominator-exit2": [
+            "prob", "--alpha", "2,2", "--model", "naples", "--p", "1/0",
+        ],
+        "prob-p-not-rational-exit2": [
+            "prob", "--alpha", "2,2", "--model", "naples", "--p", "abc",
+        ],
+        "prob-p-decimal-exit2": ["prob", "--alpha", "2,2", "--model", "naples", "--p", "0.5"],
+        "prob-alpha-not-integers-exit2": ["prob", "--alpha", "1,x", "--model", "naples"],
+        "prob-no-model-exit2": ["prob", "--alpha", "1,1"],
+        "mc-alpha-and-n-exit2": ["mc", "--alpha", "1,1", "--n", "2", "--model", "naples"],
+        "mc-n-with-trials-exit2": ["mc", "--n", "3", "--model", "naples", "--trials", "5"],
+        "construct-neither-exit2": ["construct", "--n", "3"],
+    })
+    # Exit 1: well-formed flags the library refuses.
+    cases.update({
+        "prob-alpha-out-of-range-exit1": ["prob", "--alpha", "4,1,1", "--model", "naples"],
+        "prob-direction-negative-k-exit1": [
+            "prob", "--alpha", "1,1", "--model", "direction", "--k", "-1",
+        ],
+        "table-n0-exit1": ["table", "--n-max", "0"],
+        "census-n8-without-allow-large-exit1": ["census", "--n", "8"],
+        "verify-theorem2-n8-exit1": ["verify", "--check", "theorem2", "--n", "8"],
+        "verify-odd-census-n1-exit1": ["verify", "--check", "odd-census", "--n", "1"],
+        "mc-p-above-one-exit1": ["mc", "--n", "3", "--model", "naples", "--p", "3/2"],
+        "construct-t-out-of-range-exit1": ["construct", "--n", "3", "--t", "9"],
+    })
     return cases
 
 
@@ -77,6 +175,8 @@ def regenerate() -> None:
     for name, args in CASES.items():
         result = runner.invoke(main, args)
         (GOLDEN / f"{name}.out").write_bytes(result.stdout_bytes)
+        if result.stderr_bytes:
+            (GOLDEN / f"{name}.err").write_bytes(result.stderr_bytes)
         index[name] = {"args": args, "exit_code": result.exit_code}
     lines = [f"{json.dumps(name)}: {json.dumps(entry)}" for name, entry in index.items()]
     (GOLDEN / "index.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,8 +1,10 @@
 """Golden CLI corpus: each pinned invocation prints exactly its stored stdout.
 
-golden/index.json maps a case name to its arguments and exit code, and
-golden/<name>.out holds the stdout. Both are written by regen_golden.py;
-a change that regenerates a file changes the CLI contract.
+golden/index.json maps a case name to its arguments and exit code,
+golden/<name>.out holds the stdout and golden/<name>.err the stderr (no
+file: none). All are written by regen_golden.py; a change that regenerates
+a file changes the CLI contract. Click 8.2 and later keep stderr apart
+from stdout in CliRunner, and the pinned usage errors are in its wording.
 """
 
 import json
@@ -24,25 +26,31 @@ def test_output_is_byte_identical(name):
     result = CliRunner().invoke(main, case["args"])
     assert result.exit_code == case["exit_code"]
     assert result.stdout_bytes == (GOLDEN / f"{name}.out").read_bytes()
+    err = GOLDEN / f"{name}.err"
+    assert result.stderr_bytes == (err.read_bytes() if err.exists() else b"")
 
 
 def test_mc_totals_split_between_automaton_and_replay():
-    # At 1,000 samples the cell budget is 1000 * n, and the all-spot
+    # The cell budget is n times the rows of one chunk, and the all-spot
     # automaton of n cars holds sum over d < n of (C(n, d) + 1) * 2n cells:
-    # 4,208 <= 8,000 at n = 8, but 9,360 > 9,000 at n = 9.
+    # at 1,000 samples, 4,208 <= 8,000 at n = 8, but 9,360 > 9,000 at n = 9.
     totals = [
         name for name, case in INDEX.items()
         if case["args"][:2] == ["mc", "--n"] and "--format" in case["args"]
         and case["args"][case["args"].index("--format") + 1] == "json"
     ]
-    assert len(totals) == 39
+    assert len(totals) == 41
     for name in totals:
-        n = int(INDEX[name]["args"][2])
+        args = INDEX[name]["args"]
+        n = int(args[2])
+        rows = int(args[args.index("--tuple-samples") + 1])
+        if "--trials-per-tuple" in args:
+            rows *= int(args[args.index("--trials-per-tuple") + 1])
         stats = json.loads((GOLDEN / f"{name}.out").read_text())["meta"]["stats"]
-        if n <= 8:
+        if (2**n - 1 + n) * 2 * n <= rows * n:
             assert stats["path"] == "automaton", name
             assert stats["states_peak"] == comb(n, n // 2), name
         else:
             assert stats == {
-                "path": "replay", "rng_chunks": 1, "rows_walked": 1000, "states_peak": 0
+                "path": "replay", "rng_chunks": 1, "rows_walked": rows, "states_peak": 0
             }, name
