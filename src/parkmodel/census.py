@@ -155,8 +155,8 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
     for d, table in auto.steps:
         # The next layer's dead state is its width, and fills the last cell.
         width = int(table[-1])
-        # Drop the two pad cells and the rows of this layer's dead state.
-        cells = table[2:].reshape(-1, n, 2)[:-1]
+        # Cells by (state, spot, bit), less the rows of this layer's dead state.
+        cells = table.reshape(-1, n, 2)[:-1]
         mat = np.zeros((len(cells), n * width), dtype=np.float32)
         for b in range(2 if d else 1):
             s, a = np.nonzero(cells[:, :, b] != width)
@@ -456,11 +456,10 @@ def verify_odd_census(n: int) -> VerificationReport:
     stairs = {}
     for shape in iter_staircase_shapes(n):
         alpha = shape.expand()
-        if is_staircase(alpha):
-            r = 0
-            for inverse, a in zip(steps, alpha):
-                r = int(inverse[r]) * n + a - 1
-            stairs[alpha] = (shape, int(counts[r]))
+        r = 0
+        for inverse, a in zip(steps, alpha):
+            r = int(inverse[r]) * n + a - 1
+        stairs[alpha] = (shape, int(counts[r]))
 
     odd = hist[1::2]
     odd_stairs = sum(g & 1 for _, g in stairs.values())

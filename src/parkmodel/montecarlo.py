@@ -2,7 +2,9 @@
 
 Both estimators run one chunk loop (_estimate): a fixed tuple is the case
 that draws no tuples, and estimate_expected_total draws each sample's
-tuple before its branch bits.
+tuple before its branch bits. The public API takes 1-based preferences;
+every array inside this module holds 0-based spots, and totals draw them
+as 0..n-1.
 
 Reproducibility scheme: trials are processed in fixed chunks of 2**15, and
 chunk c of a run seeded with s draws from Philox keyed by SeedSequence
@@ -31,11 +33,11 @@ every spot available they are: after d cars, every mask of popcount d. So
 _all_spot_automaton, which the expected total walks and the census reads
 its transfer matrices from, builds every table in closed form, in one pass
 over all 2^n masks. When the automaton would hold more cells than one
-chunk's walk touches row-car cells (totals at large n, pathological
-tuples), neither is built, and each chunk is replayed by _parks_rows over a
-bool occupancy matrix instead. All three land a blocked car by _land, the
-rule of the scalar walker core._park, so the estimates equal those of a
-per-trial replay.
+chunk's walk touches row-car cells, its rows capped at two chunks (totals
+at large n, pathological tuples), neither is built, and each chunk is
+replayed by _parks_rows over a bool occupancy matrix instead. All three
+land a blocked car by _land, the rule of the scalar walker core._park, so
+the estimates equal those of a per-trial replay.
 
 numpy is imported inside each function that uses it, not at module top:
 the package and its CLI import this module for every command, and most
@@ -156,7 +158,7 @@ def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
 def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray:
     """core._park over R trials at once: True where every car of the row parks.
 
-    prefs is an (R, n) int array of 1-based preferences, bits the (R, n-1)
+    prefs is an (R, n) int array of 0-based preferred spots, bits the (R, n-1)
     bool choice rows (column i-1 belongs to 0-based car i; True searches
     forward only). All rows advance one car at a time over an (R, n) bool
     occupancy matrix; a blocked row lands by _land, and a row drops out at
@@ -168,7 +170,7 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
     occ = np.zeros((rows, n), dtype=bool)
     live = np.arange(rows)
     for i in range(n):
-        spot = prefs[live, i] - 1
+        spot = prefs[live, i]
         blocked = occ[live, spot]
         occ[live[~blocked], spot[~blocked]] = True
         if not blocked.any():
@@ -213,7 +215,6 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     masks = np.zeros((1, n), dtype=bool)
     steps, cells, peak = [], 0, 1
     for i, spot in enumerate(prefs):
-        spot -= 1
         if not masks[:, spot].any():
             masks[:, spot] = True
             continue
@@ -246,12 +247,12 @@ def _all_spot_automaton(n: int, naples: bool, k: int, firstfit: bool, budget: in
     Layer d is every mask of popcount d, C(n, d) states numbered in
     ascending order of the mask with spot j at bit n-1-j (the order
     np.unique gives packed bytes), plus a dead state C(n, d). Car d's table
-    maps 2 + state * 2n + 2(a-1) + b to the next layer's state, where a is
-    the 1-based preferred spot and b the choice bit, so two pad cells lead
-    it. The table cells number sum over d < n of (C(n, d) + 1) * 2n, that is
-    (2^n - 1 + n) * 2n, and past budget nothing is allocated. Every cell is
-    found in one pass: a free spot is filled, a blocked car lands by _land,
-    and the next mask's rank within its popcount comes from one lookup.
+    maps state * 2n + 2a + b to the next layer's state, where a is the
+    0-based preferred spot and b the choice bit. The table cells number sum
+    over d < n of (C(n, d) + 1) * 2n, that is (2^n - 1 + n) * 2n, and past
+    budget nothing is allocated. Every cell is found in one pass: a free
+    spot is filled, a blocked car lands by _land, and the next mask's rank
+    within its popcount comes from one lookup.
     """
     import numpy as np
     from math import comb
@@ -280,9 +281,8 @@ def _all_spot_automaton(n: int, naples: bool, k: int, firstfit: bool, budget: in
         cells[r, 2 * j + b] = np.where(land >= 0, rank[order[r] | bit[land]], dead)
     steps = []
     for d in range(n):
-        table = np.full(2 + (widths[d] + 1) * 2 * n, widths[d + 1], dtype=np.intp)
-        table[:2] = 0
-        table[2 : -2 * n] = cells[starts[d] : starts[d + 1]].ravel()
+        table = np.full((widths[d] + 1) * 2 * n, widths[d + 1], dtype=np.intp)
+        table[: -2 * n] = cells[starts[d] : starts[d + 1]].ravel()
         steps.append((d, table))
     return _Automaton(steps, widths[n], widths[n // 2])
 
@@ -291,7 +291,7 @@ def _walk(auto: _Automaton, prefs, bits) -> np.ndarray:
     """True where a row parks: one gather per walked car.
 
     bits holds the choice rows (last axis, column i-1 for car i); prefs is
-    None for a fixed tuple, else the 1-based preferences (last axis) of
+    None for a fixed tuple, else the 0-based preferred spots (last axis) of
     rows broadcasting against bits' leading axes. Indices stay intp, so
     each table[state] gathers without first converting state.
     """
@@ -321,14 +321,14 @@ def _stats(auto, rng_chunks: int, rows_walked: int) -> dict:
 def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     """The chunk loop of both estimators: mean over samples of the parking frequency.
 
-    prefs is the fixed tuple, or None to draw each sample's tuple; rule is
-    core._rule's (naples, k, firstfit). Chunk c draws its tuples (when
-    drawn) and then its (rows, per_sample, n-1) branch bits from the stream
-    keyed (seed, c), and walks them through the occupancy automaton, or
-    replays them when that is too large. With one walk per sample the
-    observations are Bernoulli, successes are counted as an int and the
-    stderr uses the exact binomial form; otherwise it falls back to the
-    sample variance of the per-sample frequencies.
+    prefs is the fixed tuple of 0-based spots, or None to draw each
+    sample's tuple; rule is core._rule's (naples, k, firstfit). Chunk c
+    draws its tuples (when drawn) and then its (rows, per_sample, n-1)
+    branch bits from the stream keyed (seed, c), and walks them through the
+    occupancy automaton, or replays them when that is too large. With one
+    walk per sample the observations are Bernoulli, successes are counted
+    as an int and the stderr uses the exact binomial form; otherwise it
+    falls back to the sample variance of the per-sample frequencies.
     """
     import numpy as np
 
@@ -339,11 +339,12 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
 
     nbits = n - 1
     thr = _threshold(p)
-    chunk_rows = min(CHUNK_TRIALS, samples) * per_sample
+    budget = min(min(CHUNK_TRIALS, samples) * per_sample, 2 * CHUNK_TRIALS) * n
     if prefs is None:
-        auto = _all_spot_automaton(n, *rule, chunk_rows * n)
+        auto = _all_spot_automaton(n, *rule, budget)
     else:
-        auto = _automaton(prefs, n, *rule, chunk_rows * n)
+        auto = _automaton(prefs, n, *rule, budget)
+        tuples = np.array(prefs)
 
     total = 0
     total_sq = 0.0
@@ -353,9 +354,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
         rows = min(CHUNK_TRIALS, samples - done)
         gen = _generator(seed, chunk_index)
         if prefs is None:
-            tuples = gen.integers(1, n + 1, size=(rows, 1, n), dtype=np.int64)
-        else:
-            tuples = np.array(prefs)
+            tuples = gen.integers(0, n, size=(rows, 1, n), dtype=np.int64)
         bits = _event_bits(gen, (rows, per_sample, nbits), thr, rule[0])
         if auto is not None:
             parked = _walk(auto, tuples if prefs is None else None, bits)
@@ -412,7 +411,7 @@ def estimate_prob(
     check_preferences(prefs, len(prefs))
     rule = _rule(model, k, semantics)
     _check_int(trials, "trials", 1)
-    return _estimate(prefs, len(prefs), rule, p, trials, 1, seed)
+    return _estimate(tuple(a - 1 for a in prefs), len(prefs), rule, p, trials, 1, seed)
 
 
 def estimate_expected_total(

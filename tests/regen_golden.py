@@ -69,7 +69,8 @@ def _cases() -> dict[str, list[str]]:
         "222-naples-k1": ["--alpha", "2,2,2", "--model", "naples", "--k", "1"],
         "3113-direction": ["--alpha", "3,1,1,3", "--model", "direction"],
         "14443-naples-k2-jump": [
-            "--alpha", "1,4,4,4,3", "--model", "naples", "--k", "2", "--semantics", "jump",
+            "--alpha", "1,4,4,4,3", "--model", "naples", "--k", "2",
+            "--semantics", "jump",
         ],
         "14443-naples-k2-firstfit": [
             "--alpha", "1,4,4,4,3", "--model", "naples", "--k", "2",
@@ -142,16 +143,22 @@ def _cases() -> dict[str, list[str]]:
         "prob-p-not-rational-exit2": [
             "prob", "--alpha", "2,2", "--model", "naples", "--p", "abc",
         ],
-        "prob-p-decimal-exit2": ["prob", "--alpha", "2,2", "--model", "naples", "--p", "0.5"],
+        "prob-p-decimal-exit2": [
+            "prob", "--alpha", "2,2", "--model", "naples", "--p", "0.5",
+        ],
         "prob-alpha-not-integers-exit2": ["prob", "--alpha", "1,x", "--model", "naples"],
         "prob-no-model-exit2": ["prob", "--alpha", "1,1"],
         "mc-alpha-and-n-exit2": ["mc", "--alpha", "1,1", "--n", "2", "--model", "naples"],
-        "mc-n-with-trials-exit2": ["mc", "--n", "3", "--model", "naples", "--trials", "5"],
+        "mc-n-with-trials-exit2": [
+            "mc", "--n", "3", "--model", "naples", "--trials", "5",
+        ],
         "construct-neither-exit2": ["construct", "--n", "3"],
     })
     # Exit 1: well-formed flags the library refuses.
     cases.update({
-        "prob-alpha-out-of-range-exit1": ["prob", "--alpha", "4,1,1", "--model", "naples"],
+        "prob-alpha-out-of-range-exit1": [
+            "prob", "--alpha", "4,1,1", "--model", "naples",
+        ],
         "prob-direction-negative-k-exit1": [
             "prob", "--alpha", "1,1", "--model", "direction", "--k", "-1",
         ],

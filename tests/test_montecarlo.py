@@ -76,7 +76,7 @@ def _expected_parks(prefs, bits, naples, k, firstfit) -> list:
 def _assert_walker_matches_parks(prefs, bits, configs=None):
     """_parks_rows equals core._park row by row under each config; returns the last."""
     for naples, k, firstfit in configs or WALKER_CONFIGS:
-        got = montecarlo._parks_rows(prefs, bits, naples, k, firstfit)
+        got = montecarlo._parks_rows(prefs - 1, bits, naples, k, firstfit)
         want = _expected_parks(prefs, bits, naples, k, firstfit)
         assert got.tolist() == want, (naples, k, firstfit)
     return got
@@ -86,7 +86,7 @@ def _fixed_tuple_walk(prefs, bits, naples, k, firstfit) -> list:
     """Each row walked through the automaton of its own tuple."""
     n = prefs.shape[1]
     parked = []
-    for row, row_bits in zip(prefs.tolist(), bits):
+    for row, row_bits in zip((prefs - 1).tolist(), bits):
         auto = montecarlo._automaton(tuple(row), n, naples, k, firstfit, 1 << 20)
         assert auto is not None
         parked.append(bool(montecarlo._walk(auto, None, row_bits[None])[0]))
@@ -115,6 +115,22 @@ class TestReproducibility:
             4, RandomModel.NAPLES, tuple_samples=50_000, seed=SEED
         )
         assert a == b
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 14, 20])
+    def test_zero_based_draw_is_the_one_based_draw_minus_one(self, n):
+        # Totals draw spots 0..n-1 where they once drew preferences 1..n;
+        # numpy's bounded draw depends only on the width of the range, so
+        # every draw of a chunk, the branch bits after it too, is unchanged.
+        thr = montecarlo._threshold(Fraction(1, 3))
+        for seed, chunk in ((0, 0), (SEED, 1), (7, 5)):
+            new = montecarlo._generator(seed, chunk)
+            old = montecarlo._generator(seed, chunk)
+            spots = new.integers(0, n, size=(500, 1, n), dtype=np.int64)
+            prefs = old.integers(1, n + 1, size=(500, 1, n), dtype=np.int64)
+            assert (spots == prefs - 1).all()
+            new_bits = montecarlo._event_bits(new, (500, 2, n - 1), thr, True)
+            old_bits = montecarlo._event_bits(old, (500, 2, n - 1), thr, True)
+            assert (new_bits == old_bits).all()
 
     def test_automaton_and_replay_paths_agree(self, monkeypatch):
         prob = dict(
@@ -407,10 +423,10 @@ class TestAutomaton:
             )
             every = montecarlo._all_spot_automaton(n, naples, k, firstfit, 1 << 20)
             bits = np.broadcast_to(choices, (len(tuples), *choices.shape))
-            got = montecarlo._walk(every, tuples[:, None, :], bits)
+            got = montecarlo._walk(every, tuples[:, None, :] - 1, bits)
             assert (got == want).all(), (naples, k, firstfit)
             for t, row in zip(tuples, want):
-                auto = montecarlo._automaton(tuple(t), n, naples, k, firstfit, 1 << 20)
+                auto = montecarlo._automaton(tuple(t - 1), n, naples, k, firstfit, 1 << 20)
                 assert (montecarlo._walk(auto, None, choices) == row).all(), (
                     tuple(t), naples, k, firstfit
                 )
@@ -445,10 +461,10 @@ class TestAutomaton:
             if fixed is None:
                 auto = montecarlo._all_spot_automaton(n, *config, 1 << 20)
             else:
-                auto = montecarlo._automaton(fixed, n, *config, 1 << 20)
+                auto = montecarlo._automaton(prefs[0] - 1, n, *config, 1 << 20)
             assert auto.steps, config
             assert all(table.dtype == np.intp for _, table in auto.steps), config
-            walked = montecarlo._walk(auto, prefs if fixed is None else None, bits)
+            walked = montecarlo._walk(auto, prefs - 1 if fixed is None else None, bits)
             parked = _assert_walker_matches_parks(prefs, bits, [config])
             assert (walked == parked).all(), config
 
@@ -460,7 +476,7 @@ class TestAutomaton:
     def test_bound_stops_the_search(self):
         # Layers 0 and 1 of the 24-spot automaton hold 96 + 1200 cells.
         assert montecarlo._all_spot_automaton(24, False, 1, False, 1295) is None
-        assert montecarlo._automaton((1,) * 24, 24, False, 1, False, 47) is None
+        assert montecarlo._automaton((0,) * 24, 24, False, 1, False, 47) is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_spot_cells_match_parks(self, n):
@@ -479,9 +495,8 @@ class TestAutomaton:
             for d, table in auto.steps:
                 width, nxt = len(layers[d]), layers[d + 1]
                 assert table.dtype == np.intp
-                assert len(table) == 2 + (width + 1) * 2 * n
-                assert table[:2].tolist() == [0, 0]
-                assert (table[2 + width * 2 * n :] == len(nxt)).all()
+                assert len(table) == (width + 1) * 2 * n
+                assert (table[width * 2 * n :] == len(nxt)).all()
                 for s, mask in enumerate(layers[d]):
                     head = [j + 1 for j in range(n) if mask >> (n - 1 - j) & 1]
                     for a, b in product(range(1, n + 1), (0, 1)):
@@ -491,7 +506,7 @@ class TestAutomaton:
                             want = nxt.index(sum(1 << (n - x) for x in spots[: d + 1]))
                         else:
                             want = len(nxt)
-                        cell = table[2 + s * 2 * n + 2 * (a - 1) + b]
+                        cell = table[s * 2 * n + 2 * (a - 1) + b]
                         assert cell == want, (naples, k, firstfit, d, s, a, b)
 
     def test_all_spot_budget_is_decided_before_building(self):
@@ -510,6 +525,25 @@ class TestAutomaton:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1 << 20
+
+    def test_budget_counts_at_most_two_chunks_of_rows(self, monkeypatch):
+        # 1 sample x 2^17 trials would admit 2^17 * n cells; the cap is 2^16.
+        budgets = []
+        build = montecarlo._all_spot_automaton
+
+        def spy(n, naples, k, firstfit, budget):
+            budgets.append(budget)
+            return build(n, naples, k, firstfit, budget)
+
+        monkeypatch.setattr(montecarlo, "_all_spot_automaton", spy)
+        est = estimate_expected_total(
+            3, RandomModel.NAPLES, tuple_samples=1, trials_per_tuple=1 << 17, seed=SEED
+        )
+        assert budgets == [65_536 * 3]
+        assert est.stats["path"] == "automaton"
+        # So no closed form above 14 cars is ever built.
+        assert build(15, True, 1, False, 65_536 * 15) is None
+        assert build(14, True, 1, False, 65_536 * 14) is not None
 
     def test_large_total_takes_the_replay_path(self):
         est = estimate_expected_total(
