@@ -108,7 +108,7 @@ def _cases() -> dict[str, list[str]]:
         },
         **{
             f"circular-shift-n{n}": ["--check", "circular-shift", "--n", str(n)]
-            for n in range(1, 4)
+            for n in range(1, 5)
         },
     }
     for name, args in checks.items():
