@@ -104,13 +104,13 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
     return (~occ & ((1 << ring) - 1)).bit_length()
 
 
-def _distribution(n: int, states: dict) -> EmptySpotDistribution:
+def _distribution(n: int, states: dict) -> tuple[Poly, ...]:
     """Read the ring states after n cars: each mask leaves one spot empty."""
     ring = n + 1
     per_spot = [Poly.zero()] * ring
     for occ, prob in states.items():
         per_spot[(~occ & ((1 << ring) - 1)).bit_length() - 1] = prob
-    return EmptySpotDistribution(n, tuple(per_spot))
+    return tuple(per_spot)
 
 
 def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
@@ -123,7 +123,7 @@ def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     check_preferences(prefs, n + 1)
     cars = [(a,) for a in prefs]
     states = _park_all(cars, _ring_moves(n + 1), Poly.one(), _POLY_FACTORS)
-    return _distribution(n, states)
+    return EmptySpotDistribution(n, _distribution(n, states))
 
 
 CIRCULAR_SWEEP_MAX_N = 4
@@ -132,13 +132,14 @@ CIRCULAR_SWEEP_MAX_N = 4
 def verify_circular(n: int) -> VerificationReport:
     """Sweep all (n+1)^n ring tuples and check the structural properties.
 
-    Asserted: every distribution sums to 1; tuples naming spot n+1 never
-    leave it empty; shifting a tuple rotates its distribution; each spot's
-    probability summed over all tuples is the constant (n+1)^(n-1). Also
-    reported, but never failed on: for linear-range tuples, whether the
-    probability that spot n+1 stays empty equals the linear model's parking
-    probability. It always does: the ring run follows the linear run until
-    the first car the line cannot park, and that car wraps onto spot n+1.
+    Checked: every distribution sums to 1, tuple by tuple, since column sums
+    alone would let errors in two tuples cancel; tuples naming spot n+1
+    never leave it empty; shifting a tuple rotates its distribution; each
+    spot's probability summed over all tuples is the constant (n+1)^(n-1);
+    for linear-range tuples, the probability that spot n+1 stays empty
+    equals the linear model's parking probability, as it must: the ring run
+    follows the linear run until the first car the line cannot park, and
+    that car wraps onto spot n+1.
     """
     _check_int(n, "car count n", 1)
     if n > CIRCULAR_SWEEP_MAX_N:
@@ -148,50 +149,43 @@ def verify_circular(n: int) -> VerificationReport:
     ring = n + 1
     shift_bad = 0
     naming_bad = 0
-    agree = 0
+    unnormalized = 0
     disagree = 0
-    disagree_example = ""
-    dists: dict[tuple[int, ...], EmptySpotDistribution] = {}
+    dists: dict[tuple[int, ...], tuple[Poly, ...]] = {}
 
     for prefs, states in _park_each(
         [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
     ):
         dist = dists[prefs] = _distribution(n, states)
-        if ring in prefs and dist.probs[ring - 1] != Poly.zero():
+        # Over the reachable masks only: at most n + 1 terms, usually fewer.
+        if sum(states.values(), Poly.zero()) != Poly.one():
+            unnormalized += 1
+        if ring in prefs and dist[ring - 1] != Poly.zero():
             naming_bad += 1
 
     for prefs, dist in dists.items():
-        probs = dists[shift_preferences(prefs)].probs
-        if probs != dist.probs[-1:] + dist.probs[:-1]:
+        if dists[shift_preferences(prefs)] != dist[-1:] + dist[:-1]:
             shift_bad += 1
 
     line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
     for prefs, states in _park_each(
         [range(1, n + 1)] * n, line, Poly.one(), _POLY_FACTORS
     ):
-        ring_prob = dists[prefs].probs[ring - 1]
-        line_prob = sum(states.values(), Poly.zero())
-        if ring_prob == line_prob:
-            agree += 1
-        else:
+        if dists[prefs][ring - 1] != sum(states.values(), Poly.zero()):
             disagree += 1
-            if not disagree_example:
-                disagree_example = (
-                    f"first mismatch {prefs}: ring gives {ring_prob}, "
-                    f"line gives {line_prob}"
-                )
+    agree = n**n - disagree
 
     column_sums = [
         Poly(tuple(map(sum, zip_longest(*(q.coeffs for q in col), fillvalue=0))))
-        for col in zip(*(dist.probs for dist in dists.values()))
+        for col in zip(*dists.values())
     ]
     uniform = Poly.constant((n + 1) ** (n - 1))
     columns_ok = all(col == uniform for col in column_sums)
     checks = (
         CheckResult(
             "distributions normalized",
-            True,
-            f"{ring**n} tuples swept; construction asserts the sum is 1",
+            unnormalized == 0,
+            f"{ring**n} tuples swept, {unnormalized} not summing to 1",
         ),
         CheckResult(
             "spot n+1 never empty when named",
@@ -209,11 +203,10 @@ def verify_circular(n: int) -> VerificationReport:
             f"target {uniform}",
         ),
         CheckResult(
-            "linear agreement (informational)",
-            True,
-            f"{agree} of {agree + disagree} linear-range tuples match the "
-            f"linear parking probability"
-            + (f"; {disagree_example}" if disagree_example else ""),
+            "linear agreement",
+            disagree == 0,
+            f"{agree} of {n**n} linear-range tuples match the "
+            "linear parking probability",
         ),
     )
     findings = {

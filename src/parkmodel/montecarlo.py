@@ -323,12 +323,12 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
 
     prefs is the fixed tuple of 0-based spots, or None to draw each
     sample's tuple; rule is core._rule's (naples, k, firstfit). Chunk c
-    draws its tuples (when drawn) and then its (rows, per_sample, n-1)
-    branch bits from the stream keyed (seed, c), and walks them through the
-    occupancy automaton, or replays them when that is too large. With one
-    walk per sample the observations are Bernoulli, successes are counted
-    as an int and the stderr uses the exact binomial form; otherwise it
-    falls back to the sample variance of the per-sample frequencies.
+    draws its tuples (when drawn), then its (rows, per_sample, n-1) branch
+    bits from the stream keyed (seed, c), a slice of CHUNK_TRIALS //
+    per_sample samples at a time, and walks them through the automaton,
+    or replays them past its budget. One walk per sample gives Bernoulli
+    observations: successes sum as an int and the stderr is binomial;
+    otherwise it is the sample variance of the per-sample frequencies.
     """
     import numpy as np
 
@@ -350,29 +350,35 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     total_sq = 0.0
     done = 0
     chunk_index = 0
+    step = max(1, CHUNK_TRIALS // per_sample)
     while done < samples:
         rows = min(CHUNK_TRIALS, samples - done)
         gen = _generator(seed, chunk_index)
         if prefs is None:
-            tuples = gen.integers(0, n, size=(rows, 1, n), dtype=np.int64)
-        bits = _event_bits(gen, (rows, per_sample, nbits), thr, rule[0])
-        if auto is not None:
-            parked = _walk(auto, tuples if prefs is None else None, bits)
-        else:
-            flat = rows * per_sample
-            parked = _parks_rows(
-                np.broadcast_to(tuples, (rows, per_sample, n)).reshape(flat, n),
-                bits.reshape(flat, nbits),
-                *rule,
-            ).reshape(rows, per_sample)
-        if per_sample == 1:
-            total += int(parked.sum())
-        else:
-            frac = parked.sum(axis=1) / per_sample
-            # Left-to-right running sums, as a per-sample loop would add them;
-            # np.sum's pairwise order could change the last bits.
-            total = float(np.add.accumulate(np.append(total, frac))[-1])
-            total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
+            drawn = gen.integers(0, n, size=(rows, 1, n), dtype=np.int64)
+        # Slices draw their bits from gen in turn, continuing the chunk's stream.
+        for start in range(0, rows, step):
+            count = min(step, rows - start)
+            if prefs is None:
+                tuples = drawn[start : start + count]
+            bits = _event_bits(gen, (count, per_sample, nbits), thr, rule[0])
+            if auto is not None:
+                parked = _walk(auto, tuples if prefs is None else None, bits)
+            else:
+                flat = count * per_sample
+                parked = _parks_rows(
+                    np.broadcast_to(tuples, (count, per_sample, n)).reshape(flat, n),
+                    bits.reshape(flat, nbits),
+                    *rule,
+                ).reshape(count, per_sample)
+            if per_sample == 1:
+                total += int(parked.sum())
+            else:
+                frac = parked.sum(axis=1) / per_sample
+                # Left-to-right running sums, as a per-sample loop would add
+                # them; np.sum's pairwise order could change the last bits.
+                total = float(np.add.accumulate(np.append(total, frac))[-1])
+                total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
         done += rows
         chunk_index += 1
 

@@ -18,6 +18,7 @@ from parkmodel import (
     verify_circular,
     VerificationReport,
 )
+from parkmodel import circular
 from parkmodel.circular import _distribution, _ring_moves
 from parkmodel.exact import _POLY_FACTORS, _park_each
 
@@ -166,13 +167,13 @@ class TestVerifier:
                 CheckResult(
                     "distributions normalized",
                     True,
-                    f"{tuples} tuples swept; construction asserts the sum is 1",
+                    f"{tuples} tuples swept, 0 not summing to 1",
                 ),
                 CheckResult("spot n+1 never empty when named", True, none_bad),
                 CheckResult("shift rotates the distribution", True, none_bad),
                 CheckResult("per-spot column sums uniform", True, f"target {target}"),
                 CheckResult(
-                    "linear agreement (informational)",
+                    "linear agreement",
                     True,
                     f"{linear} of {linear} linear-range tuples match the "
                     "linear parking probability",
@@ -189,10 +190,46 @@ class TestVerifier:
         )
         for prefs, states in sweep:
             dist = _distribution(n, states)
-            assert dist == empty_spot_distribution(prefs)
+            assert dist == empty_spot_distribution(prefs).probs
             for p in probe_points(n):
-                got = [q.evaluate(p) for q in dist.probs]
+                got = [q.evaluate(p) for q in dist]
                 assert got == naive_circular_dist_at(prefs, p)
+
+    def test_a_lost_branch_fails_the_normalization_row(self, monkeypatch):
+        ring_moves = circular._ring_moves
+
+        def lossy_ring_moves(ring):
+            moves = ring_moves(ring)
+
+            def lossy(occ, a):
+                # Drop the backward branch of a car blocked on spot 1 by car 1.
+                forward, backward = moves(occ, a)
+                return (forward, 0) if (occ, a) == (0b1, 1) else (forward, backward)
+
+            return lossy
+
+        monkeypatch.setattr(circular, "_ring_moves", lossy_ring_moves)
+        report = verify_circular(2)
+        assert report.checks[0] == CheckResult(
+            "distributions normalized", False, "9 tuples swept, 1 not summing to 1"
+        )
+        assert not report.passed
+
+    def test_a_swapped_line_fails_the_linear_row(self, monkeypatch):
+        line_moves = circular._line_moves
+
+        def swapped_line_moves(n, rule):
+            moves = line_moves(n, rule)
+            return lambda occ, a: moves(occ, a)[::-1]
+
+        monkeypatch.setattr(circular, "_line_moves", swapped_line_moves)
+        report = verify_circular(2)
+        linear = report.checks[-1]
+        assert (linear.label, linear.passed) == ("linear agreement", False)
+        assert linear.detail.startswith("2 of 4 ")
+        assert report.findings == {"linear_agree": 2, "linear_disagree": 2}
+        assert all(check.passed for check in report.checks[:-1])
+        assert not report.passed
 
     def test_sweep_bounds(self):
         with pytest.raises(ValueError):

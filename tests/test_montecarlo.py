@@ -132,6 +132,28 @@ class TestReproducibility:
             old_bits = montecarlo._event_bits(old, (500, 2, n - 1), thr, True)
             assert (new_bits == old_bits).all()
 
+    def test_sliced_chunk_is_pinned(self):
+        # 2,000 walks per sample: slices of 32768 // 2000 = 16 samples, so
+        # the 40 samples walk in 3; the figures were computed with one draw
+        # of the whole chunk's bits.
+        est = estimate_expected_total(
+            6, RandomModel.DIRECTION, tuple_samples=40, trials_per_tuple=2000, seed=3
+        )
+        assert (est.mean, est.stderr) == (0.296425, 0.02615543742802406)
+
+    def test_draws_stay_bounded_in_trials_per_tuple(self):
+        # One draw of the chunk's bits would hold 256 * 4096 * 9 uint64,
+        # about 75 MB; slices of 8 samples hold 2.4 MB.
+        tracemalloc.start()
+        try:
+            estimate_expected_total(
+                10, RandomModel.NAPLES, tuple_samples=256, trials_per_tuple=4096
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
+
     def test_automaton_and_replay_paths_agree(self, monkeypatch):
         prob = dict(
             prefs=(2, 2, 3, 1, 4, 4), model=RandomModel.NAPLES, k=2,
