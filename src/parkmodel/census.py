@@ -19,10 +19,11 @@ the all-spot occupancy automaton of the Monte Carlo module
 every mask of popcount d, so the census lands a blocked car by the same
 rule as the simulation and the scalar walker core._park. The one
 traversal of the matrices is a DP over distinct rows (_census_rows):
-prefixes that leave equal rows are merged before each product, and
-np.unique's inverse maps are kept, so any single tuple's count is an O(n)
-walk. The histogram and the odd census both read off that DP; the odd
-census walks only the staircases.
+prefixes that leave equal rows are merged before each product, by a
+multiplicative hash of each row checked for exact equality
+(_distinct_rows), and each merge's inverse map is kept, so any single
+tuple's count is an O(n) walk. The histogram and the odd census both read
+off that DP; the odd census walks only the staircases.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -165,17 +166,55 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
     return mats
 
 
+def _row_multipliers(width: int) -> np.ndarray:
+    """width fixed odd uint64 multipliers: splitmix64 of 1..width, low bit set.
+
+    Plain uint64 arithmetic, wrapping mod 2^64, so no random module loads.
+    """
+    import numpy as np
+
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31) | np.uint64(1)
+
+
+def _distinct_rows(states: np.ndarray, mult: np.ndarray) -> tuple:
+    """Equal rows of states merged: (first, inverse), states[first[inverse]] == states.
+
+    Each row's key is its float32 bit patterns dotted with mult, wrapping
+    mod 2^64 (a multiplicative hash); one argsort groups equal keys. Every
+    row is then compared with its group's representative, so a key
+    collision raises RuntimeError instead of merging unequal rows. Groups
+    come in key order, and first[g] is some member of group g.
+    """
+    import numpy as np
+
+    keys = states.view(np.uint32) @ mult[: states.shape[1]]
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    if not np.array_equal(states[first[inverse]], states):
+        raise RuntimeError("unequal census rows share a hash key")
+    return first, inverse
+
+
 def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     """The census as a DP over distinct weighted occupancy rows.
 
     Row r of depth d holds the state weights of some prefixes of length d;
     one product with the transfer matrix parks the next car under every
     letter at once. Prefixes that leave equal rows have equal completions,
-    so before each product the rows are deduplicated (np.unique over each
-    row's bytes as one np.void key) and each distinct row carries its
-    prefix count: at most 1,942 rows per depth at n = 9, k = 1.
+    so before each product equal rows are merged (_distinct_rows, with one
+    set of multipliers for the widest layer) and each distinct row carries
+    its prefix count: at most 1,942 rows per depth at n = 9, k = 1.
 
-    Returns (steps, counts, weights). steps[d] is np.unique's inverse map
+    Returns (steps, counts, weights). steps[d] is the merge's inverse map
     at depth d, so a tuple's final row is an O(n) walk,
     r = 0; r = steps[d][r] * n + a - 1 for each car d preferring a,
     and counts[r] is its choice count. weights[r] is the number of tuples
@@ -193,12 +232,13 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
+    mats = _transfer_matrices(n, rule)
+    mult = _row_multipliers(max(len(mat) for mat in mats))
     states = np.ones((1, 1), dtype=np.float32)
     weights = np.ones(1)
     steps = []
-    for mat in _transfer_matrices(n, rule):
-        keys = states.view(np.dtype((np.void, 4 * states.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    for mat in mats:
+        first, inverse = _distinct_rows(states, mult)
         steps.append(inverse)
         weights = np.repeat(np.bincount(inverse, weights, len(first)), n)
         states = (states[first] @ mat).reshape(-1, mat.shape[1] // n)
@@ -218,10 +258,10 @@ def full_census(
     n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
     (387420489 tuples) are allowed with allow_large=True; larger n is
     refused. The histogram is a DP over the distinct weighted occupancy
-    rows (_census_rows), so n = 8 takes about 0.01 s and n = 9 well
-    under a second (2-core machine, BENCH_17.json). It runs in one
-    process: threads is validated and otherwise ignored, and any value
-    gives the same table.
+    rows (_census_rows), so at k = 1, n = 8 takes about 4 ms and n = 9
+    about 20 ms (2-core machine, BENCH_22.json). It runs in one process:
+    threads is validated and otherwise ignored, and any value gives the
+    same table.
 
     Self-checks raise RuntimeError: the total is n^n, and wherever the
     counting recursion counts the rule (k = 1, or first-fit at any k) the

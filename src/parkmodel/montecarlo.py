@@ -326,7 +326,10 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     draws its tuples (when drawn), then its (rows, per_sample, n-1) branch
     bits from the stream keyed (seed, c), a slice of CHUNK_TRIALS //
     per_sample samples at a time, and walks them through the automaton,
-    or replays them past its budget. One walk per sample gives Bernoulli
+    or replays them past its budget. Past CHUNK_TRIALS trials per sample,
+    a slice is one sample, drawn and walked in pieces of CHUNK_TRIALS
+    trials (uint64 draws concatenate, so the stream is the same) whose
+    parked counts sum as an int. One walk per sample gives Bernoulli
     observations: successes sum as an int and the stderr is binomial;
     otherwise it is the sample variance of the per-sample frequencies.
     """
@@ -351,30 +354,37 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     done = 0
     chunk_index = 0
     step = max(1, CHUNK_TRIALS // per_sample)
+    piece = min(per_sample, CHUNK_TRIALS)
     while done < samples:
         rows = min(CHUNK_TRIALS, samples - done)
         gen = _generator(seed, chunk_index)
         if prefs is None:
             drawn = gen.integers(0, n, size=(rows, 1, n), dtype=np.int64)
-        # Slices draw their bits from gen in turn, continuing the chunk's stream.
+        # Slices, and pieces of a slice, draw their bits from gen in turn,
+        # continuing the chunk's stream.
         for start in range(0, rows, step):
             count = min(step, rows - start)
             if prefs is None:
                 tuples = drawn[start : start + count]
-            bits = _event_bits(gen, (count, per_sample, nbits), thr, rule[0])
-            if auto is not None:
-                parked = _walk(auto, tuples if prefs is None else None, bits)
-            else:
-                flat = count * per_sample
-                parked = _parks_rows(
-                    np.broadcast_to(tuples, (count, per_sample, n)).reshape(flat, n),
-                    bits.reshape(flat, nbits),
-                    *rule,
-                ).reshape(count, per_sample)
+            hits = 0
+            for lo in range(0, per_sample, piece):
+                width = min(piece, per_sample - lo)
+                bits = _event_bits(gen, (count, width, nbits), thr, rule[0])
+                if auto is not None:
+                    parked = _walk(auto, tuples if prefs is None else None, bits)
+                else:
+                    flat = count * width
+                    parked = _parks_rows(
+                        np.broadcast_to(tuples, (count, width, n)).reshape(flat, n),
+                        bits.reshape(flat, nbits),
+                        *rule,
+                    ).reshape(count, width)
+                # With one walk per sample only the slice's total is needed.
+                hits += parked.sum(axis=None if per_sample == 1 else 1)
             if per_sample == 1:
-                total += int(parked.sum())
+                total += int(hits)
             else:
-                frac = parked.sum(axis=1) / per_sample
+                frac = hits / per_sample
                 # Left-to-right running sums, as a per-sample loop would add
                 # them; np.sum's pairwise order could change the last bits.
                 total = float(np.add.accumulate(np.append(total, frac))[-1])

@@ -1,5 +1,6 @@
 """Distribution census, staircase constructions, and the report verifiers."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -38,7 +39,12 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
-from parkmodel.census import _census_rows, _transfer_matrices
+from parkmodel.census import (
+    _census_rows,
+    _distinct_rows,
+    _row_multipliers,
+    _transfer_matrices,
+)
 from parkmodel.core import _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
@@ -156,6 +162,24 @@ class TestFullCensus:
         assert before is False
         assert tuple(counts) == full_census(5).counts
 
+    def test_census_never_loads_numpy_random(self):
+        """The census hashes rows with fixed multipliers, so a fresh
+        interpreter running both DP callers never imports numpy.random."""
+        child = (
+            "import sys\n"
+            "from parkmodel import full_census, verify_odd_census\n"
+            "full_census(7)\n"
+            "verify_odd_census(7)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_wider_backup_with_either_semantics(self):
         ff = full_census(4, k=2, semantics=FIRSTFIT)
         jp = full_census(4, k=2, semantics=JUMP)
@@ -263,6 +287,64 @@ class TestTransferKernel:
         with pytest.raises(LookupError, match="automaton reached"):
             _transfer_matrices(25, _rule("naples", 1, JUMP))
         assert built == [25]
+
+
+def _void_unique(states):
+    """The merge by np.unique over each row's bytes as one np.void key."""
+    keys = states.view(np.dtype((np.void, 4 * states.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("width", [1, 7, 35, 126])
+    def test_same_partition_as_void_unique(self, width):
+        rng = np.random.default_rng(width)
+        distinct = rng.permutation(np.unique(rng.integers(0, 60, (400, width)), axis=0))
+        distinct = distinct[:50].astype(np.float32)
+        states = distinct[rng.integers(0, 50, 2000)]
+        first, inverse = _distinct_rows(states, _row_multipliers(126))
+        old_first, old_inverse = _void_unique(states)
+        assert len(first) == len(old_first) == 50
+        # One group per old group: the pairs of labels number the groups.
+        assert len(set(zip(inverse.tolist(), old_inverse.tolist()))) == len(first)
+        assert np.array_equal(states[first[inverse]], states)
+        assert inverse.dtype == np.intp
+
+    def test_multipliers_are_fixed_and_odd(self):
+        mult = _row_multipliers(126)
+        assert mult.dtype == np.uint64
+        assert (mult & np.uint64(1)).all()
+        assert len(set(mult.tolist())) == 126
+        assert np.array_equal(_row_multipliers(7), mult[:7])
+
+    def test_a_key_collision_raises(self):
+        states = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32)
+        zeros = np.zeros(2, dtype=np.uint64)
+        with pytest.raises(RuntimeError, match="hash key"):
+            _distinct_rows(states, zeros)
+        first, inverse = _distinct_rows(states[[0, 2]], zeros)
+        assert len(first) == 1 and inverse.tolist() == [0, 0]
+
+    def test_census_raises_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(
+            census, "_row_multipliers", lambda width: np.zeros(width, dtype=np.uint64)
+        )
+        with pytest.raises(RuntimeError, match="hash key"):
+            full_census(4)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "872d838dcf5262ac84b7bbcec34fa3d4cd353a20789182c752fab6932fbe62da"),
+            (9, "7e4427528fb2770a8a8521a06eb54645763859d5e8e1b56fbcce02474da1c9f3"),
+        ],
+    )
+    def test_jump_at_k_two_is_pinned(self, n, digest):
+        # No recursion self-check covers the jump reading at k >= 2; the
+        # digests of repr(counts) were computed with the np.void merge.
+        counts = full_census(n, 2, JUMP, allow_large=True).counts
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
 
 class TestStaircaseShapes:

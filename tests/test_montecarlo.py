@@ -154,6 +154,31 @@ class TestReproducibility:
             tracemalloc.stop()
         assert peak < 20 << 20
 
+    def test_one_sample_draws_in_pieces_past_a_chunk(self):
+        # 2^20 walks of one sample: pieces of 32768 hold 2.4 MB of draws
+        # where one draw of the sample's bits held about 75 MB. The mean was
+        # computed with one draw.
+        tracemalloc.start()
+        try:
+            est = estimate_expected_total(
+                10, RandomModel.NAPLES, tuple_samples=1, trials_per_tuple=1 << 20,
+                seed=0,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 << 20
+        assert est.mean == 0.4997901916503906
+
+    def test_pieced_samples_are_pinned(self):
+        # 40,000 walks per sample: each of the 3 samples walks in two pieces
+        # of one chunk's stream; the figures were computed with one draw.
+        est = estimate_expected_total(
+            6, RandomModel.DIRECTION, tuple_samples=3, trials_per_tuple=40000, seed=5
+        )
+        assert (est.mean, est.stderr) == (0.35355833333333336, 0.205114309762738)
+        assert est.stats["rng_chunks"] == 1
+
     def test_automaton_and_replay_paths_agree(self, monkeypatch):
         prob = dict(
             prefs=(2, 2, 3, 1, 4, 4), model=RandomModel.NAPLES, k=2,
