@@ -19,11 +19,12 @@ the all-spot occupancy automaton of the Monte Carlo module
 every mask of popcount d, so the census lands a blocked car by the same
 rule as the simulation and the scalar walker core._park. The one
 traversal of the matrices is a DP over distinct rows (_census_rows):
-prefixes that leave equal rows are merged before each product, by a
-multiplicative hash of each row checked for exact equality
-(_distinct_rows), and each merge's inverse map is kept, so any single
-tuple's count is an O(n) walk. The histogram and the odd census both read
-off that DP; the odd census walks only the staircases.
+prefixes that leave equal rows are merged before each product, by
+montecarlo._distinct_rows (the fixed-tuple automaton's merge too: a
+multiplicative hash of each row checked for exact equality), and each
+merge's inverse map is kept, so any single tuple's count is an O(n)
+walk. The histogram (_census_histogram) and the odd census both read off
+that DP; the odd census walks only the staircases.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
@@ -54,7 +55,7 @@ from .core import (
     _rule,
 )
 from .exact import Poly, _point_weight, _success_poly, parking_choice_count
-from .montecarlo import _all_spot_automaton
+from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 from .recursions import expected_random_naples, naples_count, parking_count
 
 if TYPE_CHECKING:
@@ -166,44 +167,6 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
     return mats
 
 
-def _row_multipliers(width: int) -> np.ndarray:
-    """width fixed odd uint64 multipliers: splitmix64 of 1..width, low bit set.
-
-    Plain uint64 arithmetic, wrapping mod 2^64, so no random module loads.
-    """
-    import numpy as np
-
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ z >> np.uint64(31) | np.uint64(1)
-
-
-def _distinct_rows(states: np.ndarray, mult: np.ndarray) -> tuple:
-    """Equal rows of states merged: (first, inverse), states[first[inverse]] == states.
-
-    Each row's key is its float32 bit patterns dotted with mult, wrapping
-    mod 2^64 (a multiplicative hash); one argsort groups equal keys. Every
-    row is then compared with its group's representative, so a key
-    collision raises RuntimeError instead of merging unequal rows. Groups
-    come in key order, and first[g] is some member of group g.
-    """
-    import numpy as np
-
-    keys = states.view(np.uint32) @ mult[: states.shape[1]]
-    order = np.argsort(keys)
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    first = order[new]
-    if not np.array_equal(states[first[inverse]], states):
-        raise RuntimeError("unequal census rows share a hash key")
-    return first, inverse
-
-
 def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     """The census as a DP over distinct weighted occupancy rows.
 
@@ -238,12 +201,21 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     weights = np.ones(1)
     steps = []
     for mat in mats:
-        first, inverse = _distinct_rows(states, mult)
+        first, inverse = _distinct_rows(states.view(np.uint32), mult)
         steps.append(inverse)
         weights = np.repeat(np.bincount(inverse, weights, len(first)), n)
         states = (states[first] @ mat).reshape(-1, mat.shape[1] // n)
     # The last layer has one mask: each row holds one count.
     return steps, states[:, 0].astype(np.int64), weights
+
+
+def _census_histogram(n: int, rule: tuple) -> tuple[list, np.ndarray, list]:
+    """_census_rows's steps and counts, and the tuples per choice count 0..2^(n-1)."""
+    import numpy as np
+
+    steps, counts, weights = _census_rows(n, rule)
+    hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
+    return steps, counts, hist.tolist()
 
 
 def full_census(
@@ -281,12 +253,7 @@ def full_census(
             f"census at n={n} sweeps {n**n} tuples and is gated; "
             "pass allow_large=True (--allow-large on the command line) to run it"
         )
-
-    import numpy as np
-
-    _, row_counts, weights = _census_rows(n, rule)
-    hist = np.bincount(row_counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
-    counts = tuple(hist.tolist())
+    counts = tuple(_census_histogram(n, rule)[2])
     table = DistributionTable(n, k, NaplesSemantics(semantics), counts)
 
     if table.total() != n**n:
@@ -466,6 +433,13 @@ def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:
     return alpha
 
 
+def _check_sweep(n, what: str, hi: int, lo: int = 1) -> None:
+    """Raise ValueError unless the car count n is an int in [lo, hi]."""
+    _check_int(n, "car count n")
+    if not lo <= n <= hi:
+        raise ValueError(f"the {what} sweep supports {lo} <= n <= {hi}, got {n}")
+
+
 def verify_odd_census(n: int) -> VerificationReport:
     """Census all n^n tuples and confirm the odd-count structure.
 
@@ -482,17 +456,9 @@ def verify_odd_census(n: int) -> VerificationReport:
     the odd-count tuples that are not staircases: every odd-count tuple in
     the histogram less the staircases among them.
     """
-    _check_int(n, "car count n")
-    if not 2 <= n <= CENSUS_HARD_MAX_N:
-        raise ValueError(
-            f"the exhaustive odd-count sweep supports 2 <= n <= {CENSUS_HARD_MAX_N}, got {n}"
-        )
-    import numpy as np
-
-    steps, counts, weights = _census_rows(
-        n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
-    )
-    hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64).tolist()
+    _check_sweep(n, "exhaustive odd-count", CENSUS_HARD_MAX_N, 2)
+    rule = _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
+    steps, counts, hist = _census_histogram(n, rule)
     stairs = {}
     for shape in iter_staircase_shapes(n):
         alpha = shape.expand()
@@ -552,13 +518,7 @@ def verify_sandwich(n_max: int) -> VerificationReport:
         naples = naples_count(n, 1)
         hi = Fraction(naples + lo, 2)
         ok = lo <= mid <= hi
-        checks.append(
-            CheckResult(
-                f"n={n}",
-                ok,
-                f"{lo} <= {mid} <= {hi}",
-            )
-        )
+        checks.append(CheckResult(f"n={n}", ok, f"{lo} <= {mid} <= {hi}"))
         findings[n] = {
             "parking": str(lo),
             "expected": str(mid),
@@ -631,11 +591,7 @@ def verify_direction_total(n: int) -> VerificationReport:
     desk check of the expected-count identity for the direction model: it
     holds for all p.
     """
-    _check_int(n, "car count n", 1)
-    if n > DIRECTION_TOTAL_MAX_N:
-        raise ValueError(
-            f"the direction-total sweep supports 1 <= n <= {DIRECTION_TOTAL_MAX_N}, got {n}"
-        )
+    _check_sweep(n, "direction-total", DIRECTION_TOTAL_MAX_N)
     rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
     poly = _success_poly([range(1, n + 1)] * n, rule)
     expected = Poly.constant((n + 1) ** (n - 1))
@@ -659,9 +615,7 @@ def compare_naples_semantics(n: int, k: int) -> VerificationReport:
     reports which one agrees.
     Informational rows never fail; the k = 1 coincidence row does.
     """
-    _check_int(n, "car count n")
-    if not 1 <= n <= 6:
-        raise ValueError(f"the semantics sweep supports 1 <= n <= 6, got {n}")
+    _check_sweep(n, "semantics", 6)
     _check_int(k, "backward allowance k", 1)
     every = [range(1, n + 1)] * n
     sums = {}

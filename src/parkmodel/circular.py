@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Sequence
 
-from .census import CheckResult, VerificationReport
+from .census import CheckResult, VerificationReport, _check_sweep
 from .core import (
     DEFAULT_SEMANTICS,
     RandomModel,
@@ -141,11 +141,7 @@ def verify_circular(n: int) -> VerificationReport:
     follows the linear run until the first car the line cannot park, and
     that car wraps onto spot n+1.
     """
-    _check_int(n, "car count n", 1)
-    if n > CIRCULAR_SWEEP_MAX_N:
-        raise ValueError(
-            f"the circular sweep supports 1 <= n <= {CIRCULAR_SWEEP_MAX_N}, got {n}"
-        )
+    _check_sweep(n, "circular", CIRCULAR_SWEEP_MAX_N)
     ring = n + 1
     shift_bad = 0
     naming_bad = 0
@@ -197,11 +193,7 @@ def verify_circular(n: int) -> VerificationReport:
             shift_bad == 0,
             f"{shift_bad} offending tuples",
         ),
-        CheckResult(
-            "per-spot column sums uniform",
-            columns_ok,
-            f"target {uniform}",
-        ),
+        CheckResult("per-spot column sums uniform", columns_ok, f"target {uniform}"),
         CheckResult(
             "linear agreement",
             disagree == 0,
@@ -209,8 +201,5 @@ def verify_circular(n: int) -> VerificationReport:
             "linear parking probability",
         ),
     )
-    findings = {
-        "linear_agree": agree,
-        "linear_disagree": disagree,
-    }
+    findings = {"linear_agree": agree, "linear_disagree": disagree}
     return VerificationReport("circular-shift", checks, findings)

@@ -99,6 +99,14 @@ def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _decimal(what: str, value, scale: int = 1) -> float:
+    """float(value) * scale, or a domain error where a float overflows."""
+    try:
+        return float(value) * scale
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float decimal") from None
+
+
 def _echo(text: str, nl: bool = True) -> None:
     # Without a file, click caches a wrapper per sys.stdout it sees, and the
     # cache never frees the fresh stdout each in-process invocation installs.
@@ -182,7 +190,7 @@ def prob(alpha, model, k, semantics, p, fmt):
         )
     else:
         value = prob_of_model_at(alpha, model, p, k=k, semantics=semantics)
-        row = {"value": _frac(value), "decimal": float(value)}
+        row = {"value": _frac(value), "decimal": _decimal("P(parks)", value)}
         _emit(
             fmt,
             meta,
@@ -190,7 +198,7 @@ def prob(alpha, model, k, semantics, p, fmt):
             [row],
             [
                 f"alpha = ({alpha_text})",
-                f"P(parks at p={_frac(p)}) = {_frac(value)} ({float(value)})",
+                f"P(parks at p={_frac(p)}) = {_frac(value)} ({row['decimal']})",
             ],
         )
 
@@ -221,10 +229,14 @@ def table(n_max, k, p, fmt):
                 "naples": naples,
             }
         )
-        text.append(
-            f"{n:>3} {classic:>12} {str(float(expected)):>18} "
-            f"{str(float(midpoint)):>18} {naples:>12}"
-        )
+        # json and csv print exact strings, so only text needs the floats.
+        if fmt == "text":
+            at = f"at n={n} (exact in --format json or csv)"
+            text.append(
+                f"{n:>3} {classic:>12} "
+                f"{str(_decimal(f'the expected count {at}', expected)):>18} "
+                f"{str(_decimal(f'the midpoint {at}', midpoint)):>18} {naples:>12}"
+            )
     meta = _meta(n_max=n_max, k=k, p=_frac(p))
     _emit(fmt, meta, ["n", "parking", "expected", "midpoint", "naples"], rows, text)
 
@@ -355,14 +367,14 @@ def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_
                                       trials_per_tuple=trials_per_tuple, seed=seed)
         meta = _meta(seed=seed, n=n, **rule, p=_frac(p), tuple_samples=tuple_samples,
                      trials_per_tuple=trials_per_tuple)
-        scale = n**n
-        totals = {"total_estimate": est.mean * scale,
-                  "total_stderr": est.stderr * scale}
+        what = f"the expected-total estimate at n={n}"
+        totals = {"total_estimate": _decimal(what, est.mean, n**n),
+                  "total_stderr": _decimal(what, est.stderr, n**n)}
         text = [
             f"mean parking probability = {est.mean}",
             f"stderr = {est.stderr}",
-            f"expected-total estimate = {est.mean * scale} "
-            f"(stderr {est.stderr * scale})",
+            f"expected-total estimate = {totals['total_estimate']} "
+            f"(stderr {totals['total_stderr']})",
             f"tuple samples = {est.trials}, seed = {est.seed}",
         ]
     meta["stats"] = est.stats

@@ -28,7 +28,8 @@ next state, held as intp (numpy's native index type, so no gather converts
 its index array); a dead state holds the runs that have failed. Every trial
 of a chunk then costs one gather per car (_walk). For a fixed tuple the
 reachable occupancy masks are not known in advance, so _automaton finds
-them by a breadth-first search from the empty lot, one car at a time. With
+them by a breadth-first search from the empty lot, one car at a time,
+merging equal masks by _distinct_rows (the census DP's merge too). With
 every spot available they are: after d cars, every mask of popcount d. So
 _all_spot_automaton, which the expected total walks and the census reads
 its transfer matrices from, builds every table in closed form, in one pass
@@ -187,6 +188,46 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
     return parked
 
 
+def _row_multipliers(width: int) -> np.ndarray:
+    """width fixed odd uint64 multipliers: splitmix64 of 1..width, low bit set.
+
+    Plain uint64 arithmetic, wrapping mod 2^64, so no random module loads.
+    """
+    import numpy as np
+
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31) | np.uint64(1)
+
+
+def _distinct_rows(rows: np.ndarray, mult: np.ndarray) -> tuple:
+    """Equal rows merged: (first, inverse), with rows[first[inverse]] == rows.
+
+    The package's one merge of equal rows. rows is an unsigned-integer view
+    (census float32 bit patterns, automaton bool masks as uint8). A row's
+    key is its entries dotted with mult, wrapping mod 2^64 (a
+    multiplicative hash); one argsort groups equal keys. Each row is then
+    compared with its group's representative, so a key collision raises
+    RuntimeError instead of merging unequal rows. Groups come in key order,
+    first[g] is some member of group g, and zero rows give empty arrays.
+    """
+    import numpy as np
+
+    keys = rows @ mult[: rows.shape[1]]
+    order = np.argsort(keys)
+    keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = order[new]
+    if not np.array_equal(rows[first[inverse]], rows):
+        raise RuntimeError("unequal rows share a hash key")
+    return first, inverse
+
+
 @dataclass(frozen=True)
 class _Automaton:
     """Transition tables over the occupancy masks reachable after each car.
@@ -205,7 +246,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     """The occupancy automaton of the fixed tuple prefs, or None past budget cells.
 
     Layer i holds the distinct masks reachable after i cars, plus a dead
-    state, numbered as np.unique orders their packed bytes. Car i's table
+    state, numbered as _distinct_rows groups them. Car i's table
     maps state * 2 + b to the next layer's state, where b is the choice bit.
     A car whose spot is free in every reachable state consults no bit and
     keeps every state's index, so it needs no table.
@@ -213,6 +254,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     import numpy as np
 
     masks = np.zeros((1, n), dtype=bool)
+    mult = _row_multipliers(n)
     steps, cells, peak = [], 0, 1
     for i, spot in enumerate(prefs):
         if not masks[:, spot].any():
@@ -230,9 +272,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
         land[blocked] = _land(occ[blocked], land[blocked], fwd, naples, k, firstfit)
         rows = rows[land >= 0]
         occ[rows, land[rows]] = True
-        packed = np.packbits(occ[rows], axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first, inverse = _distinct_rows(occ[rows].view(np.uint8), mult)
         masks = occ[rows[first]]
         peak = max(peak, len(masks))
         table = np.full(len(occ) + 2, len(masks), dtype=np.intp)
@@ -245,10 +285,10 @@ def _all_spot_automaton(n: int, naples: bool, k: int, firstfit: bool, budget: in
     """The automaton of n cars that may each prefer any spot, or None past budget.
 
     Layer d is every mask of popcount d, C(n, d) states numbered in
-    ascending order of the mask with spot j at bit n-1-j (the order
-    np.unique gives packed bytes), plus a dead state C(n, d). Car d's table
-    maps state * 2n + 2a + b to the next layer's state, where a is the
-    0-based preferred spot and b the choice bit. The table cells number sum
+    ascending order of the mask with spot j at bit n-1-j, plus a dead state
+    C(n, d). Car d's table maps state * 2n + 2a + b to the next layer's
+    state, where a is the 0-based preferred spot and b the choice bit. The
+    table cells number sum
     over d < n of (C(n, d) + 1) * 2n, that is (2^n - 1 + n) * 2n, and past
     budget nothing is allocated. Every cell is found in one pass: a free
     spot is filled, a blocked car lands by _land, and the next mask's rank

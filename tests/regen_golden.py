@@ -168,6 +168,14 @@ def _cases() -> dict[str, list[str]]:
         "verify-odd-census-n1-exit1": ["verify", "--check", "odd-census", "--n", "1"],
         "mc-p-above-one-exit1": ["mc", "--n", "3", "--model", "naples", "--p", "3/2"],
         "construct-t-out-of-range-exit1": ["construct", "--n", "3", "--t", "9"],
+        # A decimal past the float range is a domain error, not a traceback.
+        "table-n144-text-overflow-exit1": ["table", "--n-max", "144"],
+        "mc-n144-naples-overflow-exit1": [
+            "mc", "--n", "144", "--model", "naples", "--tuple-samples", "10",
+        ],
+        "prob-p-1e200-overflow-exit1": [
+            "prob", "--alpha", "2,2,2", "--model", "naples", "--p", "1" + "0" * 200,
+        ],
     })
     return cases
 

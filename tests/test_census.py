@@ -39,12 +39,7 @@ from parkmodel import (
     verify_odd_census,
     verify_sandwich,
 )
-from parkmodel.census import (
-    _census_rows,
-    _distinct_rows,
-    _row_multipliers,
-    _transfer_matrices,
-)
+from parkmodel.census import _census_rows, _transfer_matrices
 from parkmodel.core import _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
@@ -53,6 +48,7 @@ from parkmodel.exact import (
     _point_weight,
     _success_sum,
 )
+from parkmodel.montecarlo import _distinct_rows, _row_multipliers
 
 from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
 
@@ -303,7 +299,7 @@ class TestDistinctRows:
         distinct = rng.permutation(np.unique(rng.integers(0, 60, (400, width)), axis=0))
         distinct = distinct[:50].astype(np.float32)
         states = distinct[rng.integers(0, 50, 2000)]
-        first, inverse = _distinct_rows(states, _row_multipliers(126))
+        first, inverse = _distinct_rows(states.view(np.uint32), _row_multipliers(126))
         old_first, old_inverse = _void_unique(states)
         assert len(first) == len(old_first) == 50
         # One group per old group: the pairs of labels number the groups.
@@ -319,7 +315,7 @@ class TestDistinctRows:
         assert np.array_equal(_row_multipliers(7), mult[:7])
 
     def test_a_key_collision_raises(self):
-        states = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32)
+        states = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32).view(np.uint32)
         zeros = np.zeros(2, dtype=np.uint64)
         with pytest.raises(RuntimeError, match="hash key"):
             _distinct_rows(states, zeros)

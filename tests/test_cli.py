@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from click.testing import CliRunner, _NamedTextIOWrapper
 import parkmodel
 from parkmodel.census import CheckResult, VerificationReport
 from parkmodel.cli import main
+from parkmodel.recursions import expected_random_naples
 
 
 @pytest.fixture()
@@ -115,6 +117,16 @@ class TestProb:
         assert result.exit_code == 1
         assert "backward allowance k must be >= 0, got -1" in result.output
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_value_past_the_float_range_exits_one(self, runner, fmt):
+        result = runner.invoke(
+            main,
+            ["prob", "--alpha", "2,2,2", "--model", "naples", "--p", "1" + "0" * 200,
+             "--format", fmt],
+        )
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == "Error: P(parks) is too large for a float decimal\n"
+
     def test_malformed_alpha_exits_two(self, runner):
         result = runner.invoke(
             main, ["prob", "--alpha", "one,two", "--model", "naples"]
@@ -171,6 +183,28 @@ class TestTable:
 
     def test_bad_n_max(self, runner):
         assert runner.invoke(main, ["table", "--n-max", "0"]).exit_code == 1
+
+    def test_exact_formats_pass_the_float_range(self, runner):
+        # The n = 144 expectation is past the float range, so only the text
+        # lines need a float; json and csv carry exact strings at any n.
+        payload = json.loads(
+            runner.invoke(main, ["table", "--n-max", "144", "--format", "json"]).output
+        )
+        top = payload["rows"][-1]
+        assert top["n"] == 144 and top["parking"] == 145**143
+        assert Fraction(top["expected"]) == expected_random_naples(144, 1, Fraction(1, 2))
+        csv = runner.invoke(main, ["table", "--n-max", "144", "--format", "csv"])
+        assert csv.exit_code == 0
+        assert csv.output.splitlines()[-1].split(",")[2] == top["expected"]
+
+    def test_text_fits_a_float_up_to_n_143(self, runner):
+        result = runner.invoke(main, ["table", "--n-max", "143"])
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 144
+        result = runner.invoke(main, ["table", "--n-max", "144"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "n=144" in result.stderr and "Traceback" not in result.stderr
 
 
 class TestCensus:
@@ -286,6 +320,15 @@ class TestVerify:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "check, what, hi",
+        [("theorem2", "direction-total", 7), ("circular-shift", "circular", 4)],
+    )
+    def test_nonpositive_n_gets_the_sweep_range(self, runner, check, what, hi):
+        result = runner.invoke(main, ["verify", "--check", check, "--n", "0"])
+        assert result.exit_code == 1
+        assert result.stderr == f"Error: the {what} sweep supports 1 <= n <= {hi}, got 0\n"
+
     @pytest.mark.parametrize("n,samples", [("6", "-3"), ("6", "0"), ("3", "0")])
     def test_nonpositive_samples_exit_one(self, runner, n, samples):
         result = runner.invoke(
@@ -362,6 +405,17 @@ class TestMc:
         row = json.loads(result.output)["rows"][0]
         assert row["total_estimate"] == pytest.approx(row["mean"] * 4)
         assert row["trials"] == 400
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_total_past_the_float_range_exits_one(self, runner, fmt):
+        # 144^144 overflows a float; 143^143 does not.
+        args = ["mc", "--model", "naples", "--tuple-samples", "10", "--format", fmt]
+        assert runner.invoke(main, [*args, "--n", "143"]).exit_code == 0
+        result = runner.invoke(main, [*args, "--n", "144"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            "Error: the expected-total estimate at n=144 is too large for a float decimal\n"
+        )
 
     def test_csv_format(self, runner):
         result = runner.invoke(

@@ -601,3 +601,19 @@ class TestAutomaton:
         }
         exact = expected_random_naples(24, 1, HALF) / 24**24
         assert abs(est.mean - float(exact)) < 5 * est.stderr
+
+    def test_fixed_tuple_key_collision_raises(self, monkeypatch):
+        # Car 2 of (2, 2, 1) lands on spot 3 or spot 1: two distinct masks,
+        # which all-zero multipliers give one key.
+        monkeypatch.setattr(
+            montecarlo, "_row_multipliers", lambda width: np.zeros(width, dtype=np.uint64)
+        )
+        with pytest.raises(RuntimeError, match="hash key"):
+            estimate_prob((2, 2, 1), RandomModel.DIRECTION, trials=64, seed=SEED)
+
+    def test_merge_of_zero_rows_is_empty(self):
+        first, inverse = montecarlo._distinct_rows(
+            np.zeros((0, 5), dtype=np.uint8), montecarlo._row_multipliers(5)
+        )
+        assert first.shape == inverse.shape == (0,)
+        assert inverse.dtype == np.intp
