@@ -6,8 +6,11 @@ thresholds fix every estimate, so any replay kernel must reproduce them bit
 for bit. The grid covers fixed tuples of 3 to 70 cars (66 and 70 are wider
 than one uint64 of choice bits), runs that cross a chunk boundary (40,000
 trials or samples), and multi-trial tuples, whose per-tuple float sums
-depend on summation order. Every case takes the automaton path; the replay
-fallback is checked against it in test_montecarlo.py.
+depend on summation order. Cases that carry stats pin the path too: fixed
+tuples at trial counts too small to pay for their automaton, totals at
+n = 15 and 17 (whose all-spot automaton is never built), and totals past
+CHUNK_TRIALS trials per sample, which are drawn in pieces; their stats
+(path, RNG chunks, rows walked, widest layer) must match as well.
 """
 
 import json
@@ -29,11 +32,18 @@ SEED = DATA["seed"]
 
 
 def _case_id(case: dict) -> str:
-    return "-".join(
-        str(case[key])
-        for key in ("n", "model", "k", "semantics", "p", "trials_per_tuple")
-        if key in case
-    ).replace("/", "_")
+    keys = ("n", "model", "k", "semantics", "p", "trials_per_tuple")
+    parts = [str(case[key]) for key in keys if key in case]
+    if "stats" in case:
+        rows = case["trials"] if "trials" in case else case["tuple_samples"]
+        parts += [case["stats"]["path"], str(rows)]
+    return "-".join(parts).replace("/", "_")
+
+
+def _check(est: McEstimate, case: dict, trials: int) -> None:
+    assert est == McEstimate(case["mean"], case["stderr"], trials, SEED)
+    if "stats" in case:
+        assert est.stats == case["stats"]
 
 
 @pytest.mark.parametrize("case", DATA["estimate_prob"], ids=_case_id)
@@ -47,7 +57,7 @@ def test_estimate_prob_stream(case):
         trials=case["trials"],
         seed=SEED,
     )
-    assert est == McEstimate(case["mean"], case["stderr"], case["trials"], SEED)
+    _check(est, case, case["trials"])
 
 
 @pytest.mark.parametrize("case", DATA["estimate_expected_total"], ids=_case_id)
@@ -62,5 +72,4 @@ def test_estimate_expected_total_stream(case):
         trials_per_tuple=case["trials_per_tuple"],
         seed=SEED,
     )
-    expected = McEstimate(case["mean"], case["stderr"], case["tuple_samples"], SEED)
-    assert est == expected
+    _check(est, case, case["tuple_samples"])
