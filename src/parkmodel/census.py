@@ -382,8 +382,8 @@ def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
     """The unique n-tuple whose parking probability is (2t-1) / 2^(n-1).
 
     It is the staircase whose block remainders are the set bits of
-    2^(n-1) - 2t (the closed-form inverse, O(n) at any n). The result is
-    re-checked against the exact choice count before being returned.
+    2^(n-1) - 2t (the closed-form inverse, O(n) at any n), built and
+    re-checked by tuple_for_numerator.
     """
     _check_int(n, "car count n")
     _check_int(t, "t")
@@ -391,10 +391,7 @@ def tuple_for_odd_numerator(n: int, t: int) -> tuple[int, ...]:
         raise ValueError(f"odd numerators need n >= 2, got {n}")
     if not 1 <= t <= 1 << (n - 2):
         raise ValueError(f"t must lie in [1, 2^{n-2}] = [1, {1 << (n-2)}], got {t}")
-    alpha = _staircase_for_odd(n, t)
-    if parking_choice_count(alpha) != 2 * t - 1:
-        raise RuntimeError(f"closed form and replay disagree on {alpha}")
-    return alpha
+    return tuple_for_numerator(n, 2 * t - 1)
 
 
 def tuple_for_numerator(n: int, a: int) -> tuple[int, ...]:

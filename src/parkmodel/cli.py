@@ -363,13 +363,13 @@ def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_
             f"trials = {est.trials}, seed = {est.seed}",
         ]
     else:
+        # Refuse an n**n past the float range before simulating anything.
+        scale = _decimal(f"the expected-total estimate at n={n}", 1, n**n)
         est = estimate_expected_total(n, **rule, p=p, tuple_samples=tuple_samples,
                                       trials_per_tuple=trials_per_tuple, seed=seed)
         meta = _meta(seed=seed, n=n, **rule, p=_frac(p), tuple_samples=tuple_samples,
                      trials_per_tuple=trials_per_tuple)
-        what = f"the expected-total estimate at n={n}"
-        totals = {"total_estimate": _decimal(what, est.mean, n**n),
-                  "total_stderr": _decimal(what, est.stderr, n**n)}
+        totals = {"total_estimate": est.mean * scale, "total_stderr": est.stderr * scale}
         text = [
             f"mean parking probability = {est.mean}",
             f"stderr = {est.stderr}",

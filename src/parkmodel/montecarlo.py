@@ -36,8 +36,10 @@ its transfer matrices from, builds every table in closed form, in one pass
 over all 2^n masks. When the automaton would hold more cells than one
 chunk's walk touches row-car cells, its rows capped at two chunks (totals
 at large n, pathological tuples), neither is built, and each chunk is
-replayed by _parks_rows over a bool occupancy matrix instead. All three
-land a blocked car by _land, the rule of the scalar walker core._park, so
+replayed by _parks_rows over a bool occupancy matrix instead, with the
+same argument shapes as _walk. All three park each car by _land, the one
+occupancy step: it returns the column the car ends in, its own spot when
+free, else where the rule of the scalar walker core._park lands it, so
 the estimates equal those of a per-trial replay.
 
 numpy is imported inside each function that uses it, not at module top:
@@ -49,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from functools import partial
+from math import prod, sqrt
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -129,63 +132,64 @@ def _last_true(cand: np.ndarray) -> np.ndarray:
 
 
 def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
-    """Column each blocked car lands on, or -1 where it fails (core._park's rule).
+    """Column each row's car ends in, or -1 where it fails (core._park's rule).
 
-    occ is the (B, n) bool occupancy of B rows whose car found its 0-based
-    spot a taken; fwd is True where the car searches forward only. The
-    forward branch takes the first free column past a. The backward branch
-    takes the last free column below a (direction), the first free column
-    from a - k (Naples jump), or the last free column in the k-window below
-    a, else the first past it (Naples firstfit). Each is a masked argmax.
+    occ is the (B, n) bool occupancy before the car, a its 0-based preferred
+    spot in each row, fwd True where a blocked car searches forward only. A
+    car whose spot is free takes it. A blocked car on the forward branch
+    takes the first free column past a; on the backward branch, the last
+    free column below a (direction), the first free column from a - k
+    (Naples jump), or the last free column in the k-window below a, else
+    the first past it (Naples firstfit). Each is a masked argmax over the
+    blocked rows of one branch.
     """
     import numpy as np
 
-    free = ~occ
+    a = np.asarray(a)
+    land = a.astype(np.int64)
+    blocked = occ[np.arange(len(a)), a]
     cols = np.arange(occ.shape[1])
-    land = np.empty(len(a), dtype=np.int64)
-    land[fwd] = _first_true(free[fwd] & (cols > a[fwd, None]))
-    back, b = ~fwd, a[~fwd, None]
+    ahead, back = blocked & fwd, blocked & ~fwd
+    land[ahead] = _first_true(~occ[ahead] & (cols > a[ahead, None]))
+    free, b = ~occ[back], a[back, None]
     if not naples:
-        land[back] = _last_true(free[back] & (cols < b))
+        land[back] = _last_true(free & (cols < b))
     elif not firstfit:
-        land[back] = _first_true(free[back] & (cols >= b - k))
+        land[back] = _first_true(free & (cols >= b - k))
     else:
-        window = _last_true(free[back] & (cols >= b - k) & (cols < b))
-        past = _first_true(free[back] & (cols > b))
-        land[back] = np.where(window >= 0, window, past)
+        window = _last_true(free & (cols >= b - k) & (cols < b))
+        land[back] = np.where(window >= 0, window, _first_true(free & (cols > b)))
     return land
 
 
 def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray:
-    """core._park over R trials at once: True where every car of the row parks.
+    """core._park over many trials at once: True where every car of a row parks.
 
-    prefs is an (R, n) int array of 0-based preferred spots, bits the (R, n-1)
-    bool choice rows (column i-1 belongs to 0-based car i; True searches
-    forward only). All rows advance one car at a time over an (R, n) bool
-    occupancy matrix; a blocked row lands by _land, and a row drops out at
-    its first failed car. Inputs unvalidated.
+    Shapes as in _walk: bits holds the bool choice rows (last axis, column
+    i-1 for 0-based car i; True searches forward only), prefs the 0-based
+    preferred spots (last axis) of rows broadcasting against bits' leading
+    axes. Car 1, which has no bit, takes its spot; every later car is
+    parked by _land in every live row of a bool occupancy matrix that
+    keeps only the live rows, and a row drops out at its first failed car.
+    Inputs unvalidated.
     """
     import numpy as np
 
-    rows, n = prefs.shape
-    occ = np.zeros((rows, n), dtype=bool)
+    shape, n = bits.shape[:-1], prefs.shape[-1]
+    rows = prod(shape)
+    prefs = np.broadcast_to(prefs, (*shape, n)).reshape(rows, n)
+    bits = bits.reshape(rows, n - 1)
     live = np.arange(rows)
-    for i in range(n):
-        spot = prefs[live, i]
-        blocked = occ[live, spot]
-        occ[live[~blocked], spot[~blocked]] = True
-        if not blocked.any():
-            continue
-        idx = live[blocked]
-        land = _land(occ[idx], spot[blocked], bits[idx, i - 1], naples, k, firstfit)
+    occ = np.zeros((rows, n), dtype=bool)
+    occ[live, prefs[:, 0]] = True
+    for i in range(1, n):
+        land = _land(occ, prefs[live, i], bits[live, i - 1], naples, k, firstfit)
         ok = land >= 0
-        occ[idx[ok], land[ok]] = True
-        keep = np.ones(len(live), dtype=bool)
-        keep[np.flatnonzero(blocked)[~ok]] = False
-        live = live[keep]
+        live, occ, land = live[ok], occ[ok], land[ok]
+        occ[np.arange(len(live)), land] = True
     parked = np.zeros(rows, dtype=bool)
     parked[live] = True
-    return parked
+    return parked.reshape(shape)
 
 
 def _row_multipliers(width: int) -> np.ndarray:
@@ -266,10 +270,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
         # Candidate row 2s + b: state s, bit b.
         occ = np.repeat(masks, 2, axis=0)
         rows = np.arange(len(occ))
-        blocked = occ[:, spot]
-        land = np.full(len(occ), spot)
-        fwd = rows[blocked] % 2 == 1
-        land[blocked] = _land(occ[blocked], land[blocked], fwd, naples, k, firstfit)
+        land = _land(occ, np.full(len(occ), spot), rows % 2 == 1, naples, k, firstfit)
         rows = rows[land >= 0]
         occ[rows, land[rows]] = True
         first, inverse = _distinct_rows(occ[rows].view(np.uint8), mult)
@@ -365,8 +366,9 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     sample's tuple; rule is core._rule's (naples, k, firstfit). Chunk c
     draws its tuples (when drawn), then its (rows, per_sample, n-1) branch
     bits from the stream keyed (seed, c), a slice of CHUNK_TRIALS //
-    per_sample samples at a time, and walks them through the automaton,
-    or replays them past its budget. Past CHUNK_TRIALS trials per sample,
+    per_sample samples at a time, and walks them by the one walk chosen
+    per call: _walk through the automaton, or the _parks_rows replay past
+    its budget. Past CHUNK_TRIALS trials per sample,
     a slice is one sample, drawn and walked in pieces of CHUNK_TRIALS
     trials (uint64 draws concatenate, so the stream is the same) whose
     parked counts sum as an int. One walk per sample gives Bernoulli
@@ -380,22 +382,25 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
-    nbits = n - 1
     thr = _threshold(p)
     budget = min(min(CHUNK_TRIALS, samples) * per_sample, 2 * CHUNK_TRIALS) * n
     if prefs is None:
         auto = _all_spot_automaton(n, *rule, budget)
     else:
         auto = _automaton(prefs, n, *rule, budget)
-        tuples = np.array(prefs)
+    if auto is None:
+        walk = lambda tuples, bits: _parks_rows(tuples, bits, *rule)
+        # The replay reads a fixed tuple from its rows; its automaton needs none.
+        tuples = None if prefs is None else np.array(prefs)
+    else:
+        walk, tuples = partial(_walk, auto), None
 
     total = 0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
+    chunks = range(0, samples, CHUNK_TRIALS)
     step = max(1, CHUNK_TRIALS // per_sample)
     piece = min(per_sample, CHUNK_TRIALS)
-    while done < samples:
+    for chunk_index, done in enumerate(chunks):
         rows = min(CHUNK_TRIALS, samples - done)
         gen = _generator(seed, chunk_index)
         if prefs is None:
@@ -408,17 +413,8 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
                 tuples = drawn[start : start + count]
             hits = 0
             for lo in range(0, per_sample, piece):
-                width = min(piece, per_sample - lo)
-                bits = _event_bits(gen, (count, width, nbits), thr, rule[0])
-                if auto is not None:
-                    parked = _walk(auto, tuples if prefs is None else None, bits)
-                else:
-                    flat = count * width
-                    parked = _parks_rows(
-                        np.broadcast_to(tuples, (count, width, n)).reshape(flat, n),
-                        bits.reshape(flat, nbits),
-                        *rule,
-                    ).reshape(count, width)
+                shape = (count, min(piece, per_sample - lo), n - 1)
+                parked = walk(tuples, _event_bits(gen, shape, thr, rule[0]))
                 # With one walk per sample only the slice's total is needed.
                 hits += parked.sum(axis=None if per_sample == 1 else 1)
             if per_sample == 1:
@@ -429,8 +425,6 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
                 # them; np.sum's pairwise order could change the last bits.
                 total = float(np.add.accumulate(np.append(total, frac))[-1])
                 total_sq = float(np.add.accumulate(np.append(total_sq, frac * frac))[-1])
-        done += rows
-        chunk_index += 1
 
     mean = total / samples
     if per_sample == 1:
@@ -440,7 +434,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
         stderr = sqrt(max(var, 0.0) / samples)
     else:
         stderr = 0.0
-    stats = _stats(auto, chunk_index, samples * per_sample)
+    stats = _stats(auto, len(chunks), samples * per_sample)
     return McEstimate(mean=mean, stderr=stderr, trials=samples, seed=seed, stats=stats)
 
 

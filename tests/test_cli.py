@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 import parkmodel
+from parkmodel import cli
 from parkmodel.census import CheckResult, VerificationReport
 from parkmodel.cli import main
 from parkmodel.recursions import expected_random_naples
@@ -412,6 +413,17 @@ class TestMc:
         args = ["mc", "--model", "naples", "--tuple-samples", "10", "--format", fmt]
         assert runner.invoke(main, [*args, "--n", "143"]).exit_code == 0
         result = runner.invoke(main, [*args, "--n", "144"])
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == (
+            "Error: the expected-total estimate at n=144 is too large for a float decimal\n"
+        )
+
+    def test_total_past_the_float_range_simulates_nothing(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a total that cannot be printed")
+
+        monkeypatch.setattr(cli, "estimate_expected_total", refuse)
+        result = runner.invoke(main, ["mc", "--n", "144", "--model", "naples"])
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == (
             "Error: the expected-total estimate at n=144 is too large for a float decimal\n"

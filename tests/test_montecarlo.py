@@ -23,7 +23,7 @@ from parkmodel import (
     parks_under_choices,
     prob_of_model,
 )
-from parkmodel.core import _park
+from parkmodel.core import _backward_spot, _lowest_free_from, _park
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
@@ -450,6 +450,72 @@ class TestWalker:
     def test_matches_parks_on_random_rows(self, case):
         prefs, bits, config = case
         _assert_walker_matches_parks(prefs, bits, [config])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_prefs_broadcast_against_the_leading_axes_of_bits(self, n):
+        # The shapes _walk takes: one tuple (n,), or one per sample
+        # (count, 1, n), against bits of shape (count, width, n - 1).
+        rng = np.random.default_rng(n)
+        count, width = 40, 6
+        bits = rng.random((count, width, n - 1)) < 0.5
+        flat_bits = bits.reshape(count * width, n - 1)
+        one = rng.integers(0, n, n)
+        per_sample = rng.integers(0, n, (count, 1, n))
+        flat_prefs = {
+            "one": np.tile(one, (count * width, 1)),
+            "per_sample": np.repeat(per_sample[:, 0], width, axis=0),
+        }
+        for config in WALKER_CONFIGS:
+            for name, prefs in (("one", one), ("per_sample", per_sample)):
+                got = montecarlo._parks_rows(prefs, bits, *config)
+                want = montecarlo._parks_rows(flat_prefs[name], flat_bits, *config)
+                assert got.shape == (count, width), (name, config)
+                assert got.ravel().tolist() == want.tolist(), (name, config)
+
+
+# (naples, k, firstfit) for direction, Naples jump and Naples firstfit, k = 1..3.
+LAND_CONFIGS = [(False, 1, False)] + [
+    (True, k, firstfit) for k in (1, 2, 3) for firstfit in (False, True)
+]
+
+
+def _config_id(config) -> str:
+    naples, k, firstfit = config
+    return f"naples-{k}-{'firstfit' if firstfit else 'jump'}" if naples else "direction"
+
+
+class TestLand:
+    """_land returns the column every row's car ends in, free spot or blocked."""
+
+    @pytest.mark.parametrize("config", LAND_CONFIGS, ids=_config_id)
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
+    def test_matches_the_scalar_rule_on_mixed_rows(self, n, config):
+        rng = np.random.default_rng(n)
+        rows = 600
+        occ = rng.random((rows, n)) < 0.6
+        a = rng.integers(0, n, rows)
+        fwd = rng.random(rows) < 0.5
+        land = montecarlo._land(occ, a, fwd, *config)
+        assert land.shape == (rows,)
+        kinds = set()
+        for row, spot, forward, got in zip(occ, a.tolist(), fwd.tolist(), land.tolist()):
+            free = sum(1 << j for j in np.flatnonzero(~row).tolist())
+            if free >> spot & 1:
+                want, kind = spot + 1, "free"
+            elif forward:
+                want, kind = _lowest_free_from(free, spot + 2), "forward"
+            else:
+                want, kind = _backward_spot(free, spot + 1, *config), "backward"
+            kinds.add(kind if want or kind == "free" else "fails")
+            assert got == want - 1, (row.tolist(), spot, forward)
+        assert kinds >= ({"free"} if n == 1 else {"free", "forward", "backward", "fails"})
+
+    def test_a_free_spot_is_taken_whatever_the_bit(self):
+        occ = np.array([[True, False, True, False]] * 4)
+        a = np.array([1, 1, 3, 3])
+        fwd = np.array([True, False, True, False])
+        for config in LAND_CONFIGS:
+            assert montecarlo._land(occ, a, fwd, *config).tolist() == [1, 1, 3, 3]
 
 
 class TestAutomaton:
