@@ -145,7 +145,6 @@ def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
     """
     import numpy as np
 
-    a = np.asarray(a)
     land = a.astype(np.int64)
     blocked = occ[np.arange(len(a)), a]
     cols = np.arange(occ.shape[1])
@@ -390,7 +389,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
         auto = _automaton(prefs, n, *rule, budget)
     if auto is None:
         walk = lambda tuples, bits: _parks_rows(tuples, bits, *rule)
-        # The replay reads a fixed tuple from its rows; its automaton needs none.
+        # The replay needs a fixed tuple's spots; its automaton has them built in.
         tuples = None if prefs is None else np.array(prefs)
     else:
         walk, tuples = partial(_walk, auto), None

@@ -473,12 +473,6 @@ class TestWalker:
                 assert got.ravel().tolist() == want.tolist(), (name, config)
 
 
-# (naples, k, firstfit) for direction, Naples jump and Naples firstfit, k = 1..3.
-LAND_CONFIGS = [(False, 1, False)] + [
-    (True, k, firstfit) for k in (1, 2, 3) for firstfit in (False, True)
-]
-
-
 def _config_id(config) -> str:
     naples, k, firstfit = config
     return f"naples-{k}-{'firstfit' if firstfit else 'jump'}" if naples else "direction"
@@ -487,7 +481,7 @@ def _config_id(config) -> str:
 class TestLand:
     """_land returns the column every row's car ends in, free spot or blocked."""
 
-    @pytest.mark.parametrize("config", LAND_CONFIGS, ids=_config_id)
+    @pytest.mark.parametrize("config", WALKER_CONFIGS, ids=_config_id)
     @pytest.mark.parametrize("n", [1, 2, 5, 9, 20])
     def test_matches_the_scalar_rule_on_mixed_rows(self, n, config):
         rng = np.random.default_rng(n)
@@ -509,13 +503,6 @@ class TestLand:
             kinds.add(kind if want or kind == "free" else "fails")
             assert got == want - 1, (row.tolist(), spot, forward)
         assert kinds >= ({"free"} if n == 1 else {"free", "forward", "backward", "fails"})
-
-    def test_a_free_spot_is_taken_whatever_the_bit(self):
-        occ = np.array([[True, False, True, False]] * 4)
-        a = np.array([1, 1, 3, 3])
-        fwd = np.array([True, False, True, False])
-        for config in LAND_CONFIGS:
-            assert montecarlo._land(occ, a, fwd, *config).tolist() == [1, 1, 3, 3]
 
 
 class TestAutomaton:
