@@ -7,12 +7,17 @@ empty spot is the object of interest; summing its entries over all shifted
 copies of a tuple is what makes the expected-count argument for the linear
 model work. Preferences live in {1, ..., n+1} here, one more value than the
 linear model allows.
+
+The public distribution carries one Poly per occupancy mask.  The
+exhaustive check verify_circular carries one integer per mask instead, the
+polynomial's value at p = X = 2^B (Kronecker substitution), with B large
+enough that every compared coefficient lies below X/2 in absolute value;
+so equal integers mean equal polynomials, and nothing is decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Sequence
 
 from .census import CheckResult, VerificationReport, _check_sweep
@@ -63,6 +68,11 @@ def shift_preferences(prefs: Sequence[int]) -> tuple[int, ...]:
     """Add 1 to every preference, wrapping n+1 around to 1."""
     ring = len(prefs) + 1
     check_preferences(prefs, ring)
+    return _shift(prefs, ring)
+
+
+def _shift(prefs: Sequence[int], ring: int) -> tuple[int, ...]:
+    """shift_preferences without the check, for tuples already on the ring."""
     return tuple(a % ring + 1 for a in prefs)
 
 
@@ -104,10 +114,14 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
     return (~occ & ((1 << ring) - 1)).bit_length()
 
 
-def _distribution(n: int, states: dict) -> tuple[Poly, ...]:
-    """Read the ring states after n cars: each mask leaves one spot empty."""
+def _distribution(n: int, states: dict, zero) -> tuple:
+    """Read the ring states after n cars: each mask leaves one spot empty.
+
+    zero is the zero of the carried kind (Poly.zero() or 0), the value of a
+    spot no state leaves empty.
+    """
     ring = n + 1
-    per_spot = [Poly.zero()] * ring
+    per_spot = [zero] * ring
     for occ, prob in states.items():
         per_spot[(~occ & ((1 << ring) - 1)).bit_length() - 1] = prob
     return tuple(per_spot)
@@ -123,10 +137,22 @@ def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
     check_preferences(prefs, n + 1)
     cars = [(a,) for a in prefs]
     states = _park_all(cars, _ring_moves(n + 1), Poly.one(), _POLY_FACTORS)
-    return EmptySpotDistribution(n, _distribution(n, states))
+    return EmptySpotDistribution(n, _distribution(n, states, Poly.zero()))
 
 
 CIRCULAR_SWEEP_MAX_N = 4
+
+
+def _ring_point(n: int) -> int:
+    """X = 2^B, B = bitlen((n+1)^n) + 2n + 1: the point verify_circular carries.
+
+    A tuple's probability of any outcome, ring or linear, sums at most
+    2^(n-1) products of p and 1 - p, one per choice vector, and each product
+    has coefficients of absolute sum at most 2^(n-1).  So its coefficients
+    are at most 4^(n-1) in absolute value, and those of a column sum over
+    the (n+1)^n tuples at most (n+1)^n * 4^(n-1) < 2^(B-3) < X/2.
+    """
+    return 1 << (((n + 1) ** n).bit_length() + 2 * n + 1)
 
 
 def verify_circular(n: int) -> VerificationReport:
@@ -140,43 +166,46 @@ def verify_circular(n: int) -> VerificationReport:
     equals the linear model's parking probability, as it must: the ring run
     follows the linear run until the first car the line cannot park, and
     that car wraps onto spot n+1.
+
+    Both sweeps carry one integer per mask, the polynomial at p = X
+    (_ring_point), with steps (1, X, 1 - X).  Every value compared, and
+    every target (1, 0, (n+1)^(n-1)), has coefficients below X/2 in
+    absolute value, so a difference of two has them below X, and such a
+    polynomial is 0 at X only when it is 0: its top term outweighs the
+    rest.  So int equality is polynomial equality.
     """
     _check_sweep(n, "circular", CIRCULAR_SWEEP_MAX_N)
     ring = n + 1
+    x = _ring_point(n)
+    steps = (1, x, 1 - x)
     shift_bad = 0
     naming_bad = 0
     unnormalized = 0
     disagree = 0
-    dists: dict[tuple[int, ...], tuple[Poly, ...]] = {}
+    dists: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for prefs, states in _park_each(
-        [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+        [range(1, ring + 1)] * n, _ring_moves(ring), 1, steps
     ):
-        dist = dists[prefs] = _distribution(n, states)
+        dist = dists[prefs] = _distribution(n, states, 0)
         # Over the reachable masks only: at most n + 1 terms, usually fewer.
-        if sum(states.values(), Poly.zero()) != Poly.one():
+        if sum(states.values()) != 1:
             unnormalized += 1
-        if ring in prefs and dist[ring - 1] != Poly.zero():
+        if ring in prefs and dist[ring - 1] != 0:
             naming_bad += 1
 
     for prefs, dist in dists.items():
-        if dists[shift_preferences(prefs)] != dist[-1:] + dist[:-1]:
+        if dists[_shift(prefs, ring)] != dist[-1:] + dist[:-1]:
             shift_bad += 1
 
     line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
-    for prefs, states in _park_each(
-        [range(1, n + 1)] * n, line, Poly.one(), _POLY_FACTORS
-    ):
-        if dists[prefs][ring - 1] != sum(states.values(), Poly.zero()):
+    for prefs, states in _park_each([range(1, n + 1)] * n, line, 1, steps):
+        if dists[prefs][ring - 1] != sum(states.values()):
             disagree += 1
     agree = n**n - disagree
 
-    column_sums = [
-        Poly(tuple(map(sum, zip_longest(*(q.coeffs for q in col), fillvalue=0))))
-        for col in zip(*dists.values())
-    ]
-    uniform = Poly.constant((n + 1) ** (n - 1))
-    columns_ok = all(col == uniform for col in column_sums)
+    uniform = (n + 1) ** (n - 1)
+    columns_ok = all(sum(col) == uniform for col in zip(*dists.values()))
     checks = (
         CheckResult(
             "distributions normalized",

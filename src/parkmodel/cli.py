@@ -104,7 +104,11 @@ def _decimal(what: str, value, scale: int = 1) -> float:
     try:
         return float(value) * scale
     except OverflowError:
-        raise ValueError(f"{what} is too large for a float decimal") from None
+        raise _too_large(what) from None
+
+
+def _too_large(what: str) -> ValueError:
+    return ValueError(f"{what} is too large for a float decimal")
 
 
 def _echo(text: str, nl: bool = True) -> None:
@@ -363,8 +367,13 @@ def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_
             f"trials = {est.trials}, seed = {est.seed}",
         ]
     else:
-        # Refuse an n**n past the float range before simulating anything.
-        scale = _decimal(f"the expected-total estimate at n={n}", 1, n**n)
+        # Refuse an n**n past the float range before simulating anything,
+        # and before building n**n where n^n >= 2^((bitlen(n) - 1) n) > 2^1024
+        # already: that power alone takes minutes at n = 10^7.
+        what = f"the expected-total estimate at n={n}"
+        if (n.bit_length() - 1) * n > 1024:
+            raise _too_large(what)
+        scale = _decimal(what, 1, n**n)
         est = estimate_expected_total(n, **rule, p=p, tuple_samples=tuple_samples,
                                       trials_per_tuple=trials_per_tuple, seed=seed)
         meta = _meta(seed=seed, n=n, **rule, p=_frac(p), tuple_samples=tuple_samples,

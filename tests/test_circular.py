@@ -19,8 +19,9 @@ from parkmodel import (
     VerificationReport,
 )
 from parkmodel import circular
-from parkmodel.circular import _distribution, _ring_moves
-from parkmodel.exact import _POLY_FACTORS, _park_each
+from parkmodel.circular import _distribution, _ring_moves, _ring_point
+from parkmodel.core import DEFAULT_SEMANTICS, RandomModel, _rule
+from parkmodel.exact import _POLY_FACTORS, _line_moves, _park_each
 
 from oracles import naive_circular_dist_at, naive_circular_empty, probe_points
 
@@ -189,7 +190,7 @@ class TestVerifier:
             [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
         )
         for prefs, states in sweep:
-            dist = _distribution(n, states)
+            dist = _distribution(n, states, Poly.zero())
             assert dist == empty_spot_distribution(prefs).probs
             for p in probe_points(n):
                 got = [q.evaluate(p) for q in dist]
@@ -231,6 +232,36 @@ class TestVerifier:
         assert all(check.passed for check in report.checks[:-1])
         assert not report.passed
 
+    def test_a_forward_jump_fails_the_shift_column_and_linear_rows(self, monkeypatch):
+        ring_moves = circular._ring_moves
+
+        def jumping_ring_moves(ring):
+            moves = ring_moves(ring)
+
+            def jumping(occ, a):
+                # A car blocked on spot 1 by car 1 lands forward on spot 3,
+                # not 2: no mass is lost, so only the other rows can see it.
+                forward, backward = moves(occ, a)
+                return (3, backward) if (occ, a) == (0b1, 1) else (forward, backward)
+
+            return jumping
+
+        monkeypatch.setattr(circular, "_ring_moves", jumping_ring_moves)
+        report = verify_circular(3)
+        assert [check.passed for check in report.checks] == [
+            True, True, False, False, False
+        ]
+        assert report.checks[2:] == (
+            CheckResult("shift rotates the distribution", False, "8 offending tuples"),
+            CheckResult("per-spot column sums uniform", False, "target 16"),
+            CheckResult(
+                "linear agreement",
+                False,
+                "25 of 27 linear-range tuples match the linear parking probability",
+            ),
+        )
+        assert report.findings == {"linear_agree": 25, "linear_disagree": 2}
+
     def test_sweep_bounds(self):
         with pytest.raises(ValueError):
             verify_circular(0)
@@ -238,6 +269,46 @@ class TestVerifier:
             verify_circular(5)
         with pytest.raises(ValueError, match="must be an integer"):
             verify_circular(True)
+
+
+def _ring_and_line_sweeps(n, one, steps):
+    """The two sweeps verify_circular runs, carrying one and steps."""
+    ring = n + 1
+    line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
+    yield from _park_each([range(1, ring + 1)] * n, _ring_moves(ring), one, steps)
+    yield from _park_each([range(1, n + 1)] * n, line, one, steps)
+
+
+class TestRingPointCarry:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_int_states_are_the_poly_states_at_the_ring_point(self, n):
+        x = _ring_point(n)
+        by_poly = _ring_and_line_sweeps(n, Poly.one(), _POLY_FACTORS)
+        by_int = _ring_and_line_sweeps(n, 1, (1, x, 1 - x))
+        swept = 0
+        for (prefs, poly_states), (int_prefs, int_states) in zip(
+            by_poly, by_int, strict=True
+        ):
+            assert int_prefs == prefs
+            assert int_states.keys() == poly_states.keys()
+            for mask, poly in poly_states.items():
+                assert int_states[mask] == sum(c * x**i for i, c in enumerate(poly.coeffs))
+            swept += 1
+        assert swept == (n + 1) ** n + n**n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_compared_coefficients_stay_below_half_the_ring_point(self, n):
+        half = _ring_point(n) // 2
+        ring = n + 1
+        dists = [
+            _distribution(n, states, Poly.zero())
+            for _, states in _park_each(
+                [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+            )
+        ]
+        column_sums = [sum(col, Poly.zero()) for col in zip(*dists)]
+        for value in [*(q for dist in dists for q in dist), *column_sums]:
+            assert all(abs(c) < half for c in value.coeffs)
 
 
 @st.composite

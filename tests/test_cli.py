@@ -429,6 +429,20 @@ class TestMc:
             "Error: the expected-total estimate at n=144 is too large for a float decimal\n"
         )
 
+    def test_huge_n_is_refused_without_building_its_power(self):
+        # 10^7 ** 10^7 alone takes minutes to build; the refusal must not.
+        env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "parkmodel", "mc", "--n", "10000000",
+             "--model", "naples"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "Error: the expected-total estimate at n=10000000 is too large for a "
+            "float decimal\n"
+        )
+
     def test_csv_format(self, runner):
         result = runner.invoke(
             main,
