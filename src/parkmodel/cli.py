@@ -291,15 +291,13 @@ def census(n, k, semantics, threads, allow_large, fmt):
     help="Which property to verify.",
 )
 @click.option("--n", type=int, required=True, help="Size parameter for the check.")
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @format_option
 @click.pass_context
 @_domain_errors
-def verify(ctx, check, n, samples, seed, fmt):
+def verify(ctx, check, n, fmt):
     """Run one machine-checkable property; exit 1 if it fails."""
     if check == "monotonicity":
-        report = verify_monotonicity(n, samples=samples, seed=seed)
+        report = verify_monotonicity(n)
     elif check == "odd-census":
         report = verify_odd_census(n)
     elif check == "sandwich":
@@ -317,7 +315,7 @@ def verify(ctx, check, n, samples, seed, fmt):
         for c in report.checks
     ]
     text.append(f"{report.name}: {'PASSED' if report.passed else 'FAILED'}")
-    meta = _meta(seed=seed, check=check, n=n, samples=samples)
+    meta = _meta(check=check, n=n)
     extra = {"passed": report.passed}
     if report.findings is not None:
         extra["findings"] = {str(k): v for k, v in report.findings.items()}

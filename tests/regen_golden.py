@@ -98,9 +98,7 @@ def _cases() -> dict[str, list[str]]:
                 ]
     checks = {
         "monotonicity-n4": ["--check", "monotonicity", "--n", "4"],
-        "monotonicity-n6-sampled": [
-            "--check", "monotonicity", "--n", "6", "--samples", "2000", "--seed", "5",
-        ],
+        "monotonicity-n12": ["--check", "monotonicity", "--n", "12"],
         "sandwich-n6": ["--check", "sandwich", "--n", "6"],
         **{
             f"theorem2-n{n}": ["--check", "theorem2", "--n", str(n)]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,13 @@ from parkmodel.exact import (
 )
 from parkmodel.montecarlo import _distinct_rows, _row_multipliers
 
-from oracles import all_tuples, naive_choice_count, naive_prob_at, probe_points
+from oracles import (
+    all_tuples,
+    naive_choice_count,
+    naive_prob_at,
+    naive_replay,
+    probe_points,
+)
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
@@ -290,6 +297,58 @@ def _void_unique(states):
     keys = states.view(np.dtype((np.void, 4 * states.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first, inverse
+
+
+FLIP_RULES = {
+    "direction": ("direction", 0, "jump"),
+    "k1-jump": ("naples", 1, "jump"),
+    "k2-jump": ("naples", 2, "jump"),
+    "k2-firstfit": ("naples", 2, "firstfit"),
+}
+
+
+def _naive_flips(n, model, k, semantics):
+    """(checked, violations) of census._flip_counts by replaying every vector.
+
+    For each tuple and each coin vector that parks, every coin at 1
+    (forward) is turned to 0 (backward), one at a time, and the vector is
+    replayed again by oracles.naive_replay.
+    """
+    checked = violations = 0
+    firstfit = semantics == "firstfit"
+    for prefs in all_tuples(n):
+        parks = {
+            coins: naive_replay(prefs, coins, model, k, firstfit)
+            for coins in product((0, 1), repeat=n - 1)
+        }
+        for coins, ok in parks.items():
+            for i in range(n - 1):
+                if ok and coins[i]:
+                    checked += 1
+                    violations += not parks[coins[:i] + (0,) + coins[i + 1 :]]
+    return checked, violations
+
+
+class TestFlipCounts:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(FLIP_RULES))
+    def test_matches_the_replay_oracle(self, n, name):
+        rule = FLIP_RULES[name]
+        assert census._flip_counts(n, _rule(*rule)) == _naive_flips(n, *rule)
+
+    @pytest.mark.parametrize(
+        "name, n, counts",
+        [("k2-jump", 6, (2043486, 82)), ("k2-firstfit", 6, (1979704, 0))],
+    )
+    def test_pinned_counts(self, name, n, counts):
+        assert census._flip_counts(n, _rule(*FLIP_RULES[name])) == counts
+
+    def test_pairs_merge_only_through_the_checked_merge(self, monkeypatch):
+        monkeypatch.setattr(
+            census, "_row_multipliers", lambda width: np.zeros(width, dtype=np.uint64)
+        )
+        with pytest.raises(RuntimeError, match="^unequal rows share a hash key$"):
+            census._flip_counts(4, _rule(*FLIP_RULES["k1-jump"]))
 
 
 class TestDistinctRows:
@@ -580,23 +639,24 @@ class TestVerifiers:
         assert len(report.checks) == 10
         assert report.findings[4]["expected"] == "653/4"
 
-    def test_monotonicity_exhaustive_and_sampled(self):
+    def test_monotonicity_exhaustive(self):
         assert verify_monotonicity(4).passed
-        assert verify_monotonicity(7, samples=2000, seed=1).passed
+        report = verify_monotonicity(7)
+        assert report.passed
+        assert report.checks[0].detail == (
+            "exhaustive: 66857896 single-bit flips of successful vectors"
+        )
 
-    @pytest.mark.parametrize("n", [3, 6])
-    @pytest.mark.parametrize("samples", [0, -3, True, 2.5])
-    def test_monotonicity_rejects_bad_sample_counts(self, n, samples):
-        # A zero-flip run would otherwise report PASSED having checked nothing.
-        with pytest.raises(ValueError, match="samples"):
-            verify_monotonicity(n, samples=samples)
-
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_monotonicity_rejects_a_negative_seed(self, n):
-        # random.Random(-5) draws what random.Random(5) draws, so -5 would
-        # check the flips of seed 5 while reporting seed -5.
-        with pytest.raises(ValueError, match="seed"):
-            verify_monotonicity(n, samples=10, seed=-5)
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (1, "the monotonicity sweep supports 2 <= n <= 12, got 1"),
+            (13, "the monotonicity sweep supports 2 <= n <= 12, got 13"),
+        ],
+    )
+    def test_monotonicity_rejects_n_outside_the_sweep(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            verify_monotonicity(n)
 
     def test_direction_total(self):
         report = verify_direction_total(4)
@@ -691,7 +751,9 @@ class TestVerifiers:
             with pytest.raises(ValueError, match="must be an integer"):
                 compare_naples_semantics(n, 1)
 
-    @pytest.mark.parametrize("verifier", [verify_direction_total, verify_sandwich])
+    @pytest.mark.parametrize(
+        "verifier", [verify_direction_total, verify_sandwich, verify_monotonicity]
+    )
     def test_verifiers_reject_a_bool_car_count(self, verifier):
         with pytest.raises(ValueError, match="must be an integer"):
             verifier(True)

@@ -330,23 +330,21 @@ class TestVerify:
         assert result.exit_code == 1
         assert result.stderr == f"Error: the {what} sweep supports 1 <= n <= {hi}, got 0\n"
 
-    @pytest.mark.parametrize("n,samples", [("6", "-3"), ("6", "0"), ("3", "0")])
-    def test_nonpositive_samples_exit_one(self, runner, n, samples):
+    @pytest.mark.parametrize("flag", [["--samples", "10"], ["--seed", "1"]])
+    def test_removed_sampling_flags_exit_two(self, runner, flag):
         result = runner.invoke(
-            main,
-            ["verify", "--check", "monotonicity", "--n", n, "--samples", samples],
+            main, ["verify", "--check", "monotonicity", "--n", "4", *flag]
         )
-        assert result.exit_code == 1
-        assert "PASSED" not in result.output
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr
 
-    def test_negative_seed_exits_one(self, runner):
-        result = runner.invoke(
-            main,
-            ["verify", "--check", "monotonicity", "--n", "6", "--samples", "50",
-             "--seed", "-5"],
-        )
+    @pytest.mark.parametrize("n", ["1", "13"])
+    def test_monotonicity_n_outside_the_sweep_exits_one(self, runner, n):
+        result = runner.invoke(main, ["verify", "--check", "monotonicity", "--n", n])
         assert result.exit_code == 1
-        assert "PASSED" not in result.output
+        assert result.stderr == (
+            f"Error: the monotonicity sweep supports 2 <= n <= 12, got {n}\n"
+        )
 
 
 class TestMc:

@@ -310,3 +310,30 @@ def test_invariant_checks_survive_optimized_mode():
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not asserts, f"{path.name} has assert statements at lines {asserts}"
+
+
+def test_rows_merge_only_through_the_checked_merge():
+    """Equal rows merge only in montecarlo._distinct_rows, which checks its keys.
+
+    np.unique over np.void row views (or np.packbits keys) would be a second,
+    unchecked merge.
+    """
+    banned = {"unique", "packbits", "void"}
+    for path in sorted(Path(parkmodel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses = [
+            (node.lineno, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in banned
+            and isinstance(node.value, ast.Name)
+            and node.value.id in {"np", "numpy"}
+        ]
+        uses += [
+            (node.lineno, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            for alias in node.names
+            if alias.name in banned
+        ]
+        assert not uses, f"{path.name} uses {uses}"
