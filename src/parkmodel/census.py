@@ -58,7 +58,6 @@ from .recursions import expected_random_naples, naples_count, parking_count
 if TYPE_CHECKING:
     import numpy as np
 
-CENSUS_DEFAULT_MAX_N = 7
 CENSUS_HARD_MAX_N = 9
 # float32 holds every integer up to 2^24, and a choice count is at most
 # 2^(n-1), so the census products are exact up to this car count.
@@ -216,21 +215,14 @@ def _census_histogram(n: int, rule: tuple) -> tuple[list, np.ndarray, list]:
 
 
 def full_census(
-    n: int,
-    k: int = 1,
-    semantics: NaplesSemantics = DEFAULT_SEMANTICS,
-    threads: int = 1,
-    allow_large: bool = False,
+    n: int, k: int = 1, semantics: NaplesSemantics = DEFAULT_SEMANTICS
 ) -> DistributionTable:
     """Distribution of parking probabilities at p = 1/2 over all n^n tuples.
 
-    n is capped at 7 by default; n = 8 (8^8 = 16777216 tuples) and n = 9
-    (387420489 tuples) are allowed with allow_large=True; larger n is
+    n runs up to CENSUS_HARD_MAX_N = 9 (387420489 tuples); larger n is
     refused. The histogram is a DP over the distinct weighted occupancy
     rows (_census_rows), so at k = 1, n = 8 takes about 4 ms and n = 9
-    about 20 ms (2-core machine, BENCH_22.json). It runs in one process:
-    threads is validated and otherwise ignored, and any value gives the
-    same table.
+    about 20 ms in one process (2-core machine, BENCH_22.json).
 
     Self-checks raise RuntimeError: the total is n^n, and wherever the
     counting recursion counts the rule (k = 1, or first-fit at any k) the
@@ -238,17 +230,11 @@ def full_census(
     """
     _check_int(n, "car count n", 1)
     _check_int(k, "backward allowance k", 1)
-    _check_int(threads, "threads", 1)
     rule = _rule(RandomModel.NAPLES, k, semantics)
     if n > CENSUS_HARD_MAX_N:
         raise ValueError(
             f"census at n={n} would sweep {n}^{n} = {n**n} tuples; "
             f"the supported maximum is {CENSUS_HARD_MAX_N}"
-        )
-    if n > CENSUS_DEFAULT_MAX_N and not allow_large:
-        raise ValueError(
-            f"census at n={n} sweeps {n**n} tuples and is gated; "
-            "pass allow_large=True (--allow-large on the command line) to run it"
         )
     counts = tuple(_census_histogram(n, rule)[2])
     table = DistributionTable(n, k, NaplesSemantics(semantics), counts)

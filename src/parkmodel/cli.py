@@ -33,7 +33,7 @@ from .census import (
     verify_sandwich,
 )
 from .circular import verify_circular
-from .core import DEFAULT_SEMANTICS, NaplesSemantics, RandomModel
+from .core import DEFAULT_SEMANTICS, NaplesSemantics, RandomModel, _check_int
 from .exact import prob_of_model, prob_of_model_at
 from .montecarlo import estimate_expected_total, estimate_prob
 from .recursions import expected_random_naples, naples_count, parking_count
@@ -246,27 +246,21 @@ def table(n_max, k, p, fmt):
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Car count; tuples swept: n^n.")
+@click.option("--n", type=int, required=True, help="Car count, at most 9; tuples swept: n^n.")
 @click.option("--k", type=int, default=1, show_default=True)
 @semantics_option
-@click.option(
-    "--threads",
-    type=int,
-    default=1,
-    show_default=True,
-    envvar="PARKMODEL_THREADS",
-    help="Accepted and validated (>= 1); the census runs in one process.",
-)
-@click.option(
-    "--allow-large", is_flag=True, help="Permit the n = 8 and n = 9 sweeps."
-)
+@click.option("--threads", type=int, default=1, hidden=True,
+              help="Ignored, as the census runs in one process (the JSON meta "
+              "says threads 1); still accepted (>= 1) for scripts that pass it.")
+@click.option("--allow-large", is_flag=True, hidden=True, expose_value=False,
+              help="Ignored, as every n up to 9 runs without it; still accepted "
+              "for scripts that pass it.")
 @format_option
 @_domain_errors
-def census(n, k, semantics, threads, allow_large, fmt):
+def census(n, k, semantics, threads, fmt):
     """Histogram of parking probabilities at p = 1/2 over all n^n tuples."""
-    result = full_census(
-        n, k=k, semantics=semantics, threads=threads, allow_large=allow_large
-    )
+    _check_int(threads, "threads", 1)
+    result = full_census(n, k=k, semantics=semantics)
     rows = [
         {"numerator": a, "denominator": result.denominator, "count": c}
         for a, c in result.items()
@@ -277,7 +271,7 @@ def census(n, k, semantics, threads, allow_large, fmt):
             f"{row['numerator']:>10} {row['denominator']:>12} {row['count']:>12}"
         )
     text.append(f"total {result.total()}  expectation {_frac(result.expectation())}")
-    meta = _meta(n=n, k=k, semantics=semantics, threads=threads)
+    meta = _meta(n=n, k=k, semantics=semantics, threads=1)
     _emit(fmt, meta, ["numerator", "denominator", "count"], rows, text)
 
 

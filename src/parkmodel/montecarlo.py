@@ -33,14 +33,15 @@ merging equal masks by _distinct_rows (the census DP's merge too). With
 every spot available they are: after d cars, every mask of popcount d. So
 _all_spot_automaton, which the expected total walks and the census reads
 its transfer matrices from, builds every table in closed form, in one pass
-over all 2^n masks. When the automaton would hold more cells than one
-chunk's walk touches row-car cells, its rows capped at two chunks (totals
-at large n, pathological tuples), neither is built, and each chunk is
-replayed by _parks_rows over a bool occupancy matrix instead, with the
-same argument shapes as _walk. All three park each car by _land, the one
-occupancy step: it returns the column the car ends in, its own spot when
-free, else where the rule of the scalar walker core._park lands it, so
-the estimates equal those of a per-trial replay.
+over all 2^n masks. When the automaton would hold more cells than the
+call's walks touch, counted as row-car cells over every chunk with the
+rows capped at two chunks (totals at large n, pathological tuples),
+neither is built, and each chunk is replayed by _parks_rows over a bool
+occupancy matrix instead, with the same argument shapes as _walk. All
+three park each car by _land, the one occupancy step: it returns the
+column the car ends in, its own spot when free, else where the rule of
+the scalar walker core._park lands it, so the estimates equal those of a
+per-trial replay.
 
 numpy is imported inside each function that uses it, not at module top:
 the package and its CLI import this module for every command, and most
@@ -367,10 +368,12 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
     bits from the stream keyed (seed, c), a slice of CHUNK_TRIALS //
     per_sample samples at a time, and walks them by the one walk chosen
     per call: _walk through the automaton, or the _parks_rows replay past
-    its budget. Past CHUNK_TRIALS trials per sample,
-    a slice is one sample, drawn and walked in pieces of CHUNK_TRIALS
-    trials (uint64 draws concatenate, so the stream is the same) whose
-    parked counts sum as an int. One walk per sample gives Bernoulli
+    its budget: the call's samples * per_sample rows, capped at two chunks,
+    times n cars, since the automaton is built once and serves every
+    chunk. Past CHUNK_TRIALS trials per sample, a slice is one sample,
+    drawn and walked in pieces of CHUNK_TRIALS trials (uint64 draws
+    concatenate, so the stream is the same) whose parked counts sum as an
+    int. One walk per sample gives Bernoulli
     observations: successes sum as an int and the stderr is binomial;
     otherwise it is the sample variance of the per-sample frequencies.
     """
@@ -382,7 +385,7 @@ def _estimate(prefs, n: int, rule, p, samples: int, per_sample: int, seed: int):
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
     thr = _threshold(p)
-    budget = min(min(CHUNK_TRIALS, samples) * per_sample, 2 * CHUNK_TRIALS) * n
+    budget = min(samples * per_sample, 2 * CHUNK_TRIALS) * n
     if prefs is None:
         auto = _all_spot_automaton(n, *rule, budget)
     else:
@@ -451,10 +454,10 @@ def estimate_prob(
     The tuple's occupancy automaton is built once, over both choice bits of
     every blocked car, and every drawn choice row is walked through it, one
     gather per car that may be blocked. A tuple whose automaton would hold
-    more table cells than a chunk's R x n row-car cells is replayed chunk by
-    chunk in one vectorised walk (_parks_rows) instead. Both paths consume
-    the same draws and give bit-identical results, equal to a per-trial
-    replay of each drawn vector.
+    more table cells than the call's trials x n row-car cells (trials
+    capped at two chunks) is replayed chunk by chunk in one vectorised walk
+    (_parks_rows) instead. Both paths consume the same draws and give
+    bit-identical results, equal to a per-trial replay of each drawn vector.
     """
     prefs = tuple(prefs)
     check_preferences(prefs, len(prefs))

@@ -35,6 +35,8 @@ def _cases() -> dict[str, list[str]]:
                 "census", "--n", str(n), "--k", str(k),
                 "--semantics", semantics, "--format", "json",
             ]
+    # Every n <= 9 runs without a flag.
+    cases["census-n8-text"] = ["census", "--n", "8"]
     rules = {
         "k1-jump": ["--model", "naples", "--k", "1", "--semantics", "jump"],
         "k2-firstfit": ["--model", "naples", "--k", "2", "--semantics", "firstfit"],
@@ -161,7 +163,6 @@ def _cases() -> dict[str, list[str]]:
             "prob", "--alpha", "1,1", "--model", "direction", "--k", "-1",
         ],
         "table-n0-exit1": ["table", "--n-max", "0"],
-        "census-n8-without-allow-large-exit1": ["census", "--n", "8"],
         "verify-theorem2-n8-exit1": ["verify", "--check", "theorem2", "--n", "8"],
         "verify-odd-census-n1-exit1": ["verify", "--check", "odd-census", "--n", "1"],
         "mc-p-above-one-exit1": ["mc", "--n", "3", "--model", "naples", "--p", "3/2"],

@@ -1,7 +1,6 @@
 """Distribution census, staircase constructions, and the report verifiers."""
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -141,29 +140,10 @@ class TestFullCensus:
         with pytest.raises(ValueError):
             full_census(3).count_for(numerator)
 
-    def test_thread_count_does_not_change_the_result(self):
-        assert full_census(5, threads=3) == full_census(5, threads=1)
-
-    def test_census_runs_in_one_process_for_any_thread_count(self):
-        """threads=2 in an interpreter that has not loaded numpy yet gives the
-        one-process census and never loads multiprocessing."""
-        child = (
-            "import json, sys\n"
-            "from parkmodel import full_census\n"
-            "before = 'numpy' in sys.modules\n"
-            "counts = full_census(5, threads=2).counts\n"
-            "assert 'multiprocessing' not in sys.modules\n"
-            "print(json.dumps([before, counts]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        before, counts = json.loads(proc.stdout)
-        assert before is False
-        assert tuple(counts) == full_census(5).counts
+    @pytest.mark.parametrize("keyword", ["threads", "allow_large"])
+    def test_removed_keywords_are_refused(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            full_census(3, **{keyword: 1})
 
     def test_census_never_loads_numpy_random(self):
         """The census hashes rows with fixed multipliers, so a fresh
@@ -193,15 +173,11 @@ class TestFullCensus:
 
     def test_gating(self):
         with pytest.raises(ValueError):
-            full_census(8)
-        with pytest.raises(ValueError):
-            full_census(10, allow_large=True)
+            full_census(10)
         with pytest.raises(ValueError):
             full_census(0)
         with pytest.raises(ValueError):
             full_census(3, k=0)
-        with pytest.raises(ValueError):
-            full_census(3, threads=0)
 
     def test_semantics_value_means_its_member(self):
         ff = full_census(4, k=2, semantics="firstfit")
@@ -211,17 +187,10 @@ class TestFullCensus:
             with pytest.raises(ValueError):
                 full_census(3, semantics=bad)
 
-    def test_k_and_threads_must_be_plain_ints(self):
+    def test_k_must_be_a_plain_int(self):
         for bad in (True, 1.5, "2", None):
             with pytest.raises(ValueError):
                 full_census(4, k=bad)
-            with pytest.raises(ValueError):
-                full_census(4, threads=bad)
-
-    @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
-    def test_two_workers_match_one(self, semantics):
-        one = full_census(6, 2, semantics, threads=1)
-        assert full_census(6, 2, semantics, threads=2) == one
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("k", [2, 3])
@@ -241,8 +210,8 @@ class TestFullCensus:
             full_census(4, 2, FIRSTFIT)
         assert full_census(4, 2, JUMP).total() == 4**4
 
-    def test_eight_car_census_when_unlocked(self):
-        table = full_census(8, allow_large=True)
+    def test_eight_car_census_passes_its_self_checks(self):
+        table = full_census(8)
         assert table.total() == 8**8
         assert table.count_for(128) == parking_count(8)
         assert table.expectation() == expected_random_naples(8, 1, HALF)
@@ -251,7 +220,7 @@ class TestFullCensus:
         # full_census raises RuntimeError unless the total, the full and zero
         # counts and the expectation all match the recursions.
         for k, semantics in ((1, JUMP), (2, FIRSTFIT), (3, FIRSTFIT)):
-            table = full_census(9, k, semantics, allow_large=True)
+            table = full_census(9, k, semantics)
             assert table.total() == 9**9
             assert table.count_for(256) == parking_count(9)
             assert table.count_for(0) == 9**9 - naples_count(9, k)
@@ -398,7 +367,7 @@ class TestDistinctRows:
     def test_jump_at_k_two_is_pinned(self, n, digest):
         # No recursion self-check covers the jump reading at k >= 2; the
         # digests of repr(counts) were computed with the np.void merge.
-        counts = full_census(n, 2, JUMP, allow_large=True).counts
+        counts = full_census(n, 2, JUMP).counts
         assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
 

@@ -235,32 +235,36 @@ class TestCensus:
             {"numerator": 2, "denominator": 2, "count": 3},
         ]
 
-    def test_large_sweep_is_gated(self, runner):
-        gated = runner.invoke(main, ["census", "--n", "8"])
-        assert gated.exit_code == 1
-        assert "--allow-large" in gated.output
-        assert (
-            runner.invoke(
-                main, ["census", "--n", "10", "--allow-large"]
-            ).exit_code
-            == 1
-        )
+    def test_nine_cars_need_no_flag(self, runner):
+        result = runner.invoke(main, ["census", "--n", "9", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "256,256,100000000"
 
-    def test_threads_env_default_matches_explicit_flag(self, runner):
-        direct = runner.invoke(
-            main, ["census", "--n", "4", "--threads", "1", "--format", "csv"]
-        )
-        via_env = runner.invoke(
+    def test_ten_cars_are_refused_even_with_allow_large(self, runner):
+        result = runner.invoke(main, ["census", "--n", "10", "--allow-large"])
+        assert result.exit_code == 1
+        assert "the supported maximum is 9" in result.output
+
+    def test_ignored_flags_change_nothing(self, runner):
+        plain = runner.invoke(main, ["census", "--n", "5", "--format", "json"])
+        flagged = runner.invoke(
             main,
-            ["census", "--n", "4", "--format", "csv"],
-            env={"PARKMODEL_THREADS": "2"},
+            ["census", "--n", "5", "--allow-large", "--threads", "2",
+             "--format", "json"],
         )
+        assert flagged.exit_code == plain.exit_code == 0
+        assert flagged.output == plain.output
+
+    def test_threads_env_is_not_read(self, runner):
+        args = ["census", "--n", "4", "--format", "json"]
+        via_env = runner.invoke(main, args, env={"PARKMODEL_THREADS": "0"})
         assert via_env.exit_code == 0
-        assert via_env.output == direct.output
+        assert via_env.output == runner.invoke(main, args).output
 
     def test_bad_thread_count(self, runner):
         result = runner.invoke(main, ["census", "--n", "3", "--threads", "0"])
         assert result.exit_code == 1
+        assert "threads must be >= 1, got 0" in result.output
 
 
 class TestVerify:

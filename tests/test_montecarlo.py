@@ -645,6 +645,18 @@ class TestAutomaton:
         assert build(15, True, 1, False, 65_536 * 15) is None
         assert build(14, True, 1, False, 65_536 * 14) is not None
 
+    def test_budget_counts_the_rows_of_every_chunk(self, monkeypatch):
+        # The 14-car closed form holds (2^14 - 1 + 14) * 28 = 459,116 cells:
+        # more than one chunk's 2^15 * 14 row-car cells, within the two
+        # chunks' 2^16 * 14 that one walk serves.
+        call = dict(n=14, model=RandomModel.NAPLES, tuple_samples=1 << 16, seed=SEED)
+        walked = estimate_expected_total(**call)
+        monkeypatch.setattr(montecarlo, "_all_spot_automaton", lambda *args: None)
+        replayed = estimate_expected_total(**call)
+        assert walked.stats["path"] == "automaton"
+        assert replayed.stats["path"] == "replay"
+        assert (walked.mean, walked.stderr) == (replayed.mean, replayed.stderr)
+
     def test_large_total_takes_the_replay_path(self):
         est = estimate_expected_total(
             24, RandomModel.NAPLES, tuple_samples=2_000, seed=SEED
