@@ -317,13 +317,19 @@ def iter_staircase_shapes(n: int) -> Iterator[StaircaseShape]:
     if n < 2:
         raise ValueError(f"staircase tuples need n >= 2, got {n}")
 
-    def gen(remaining: int, acc: tuple[int, ...]) -> Iterator[StaircaseShape]:
-        if remaining >= 2:
-            yield StaircaseShape(acc + (remaining,))
-        for part in range(1, remaining - 1):
-            yield from gen(remaining - part, acc + (part,))
+    def gen() -> Iterator[StaircaseShape]:
+        # Depth first, one shape per step (no generator per block): a top block
+        # above 2 splits off a 1, and a leaf (b, c, 2) steps to (b + 1, c + 1).
+        shape = [n]
+        yield StaircaseShape((n,))
+        while shape[-1] > 2 or len(shape) > 2:
+            if shape[-1] > 2:
+                shape[-1:] = [1, shape[-1] - 1]
+            else:
+                shape[-3:] = [shape[-3] + 1, shape[-2] + 1]
+            yield StaircaseShape(tuple(shape))
 
-    return gen(n, ())
+    return gen()
 
 
 def staircase_choice_count(shape: StaircaseShape) -> int:

@@ -26,12 +26,14 @@ from .core import (
     RandomModel,
     _check_int,
     _highest_free_upto,
+    _line_moves,
     _lowest_free_from,
+    _park,
     _rule,
     check_choice_bits,
     check_preferences,
 )
-from .exact import _POLY_FACTORS, Poly, _line_moves, _park_all, _park_each
+from .exact import _POLY_FACTORS, Poly, _park_all, _park_each
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,14 @@ def circular_park(prefs: Sequence[int], beta: int) -> int:
     """Park n cars on the (n+1)-ring under fixed choices; return the empty spot.
 
     A blocked car with choice bit 1 scans forward around the ring, with bit 0
-    backward; either way it parks, so the run never fails.
+    backward; either way it parks, so the run never fails. This is core._park
+    over the ring's moves: its n spots are distinct, so the empty spot is
+    1 + 2 + ... + (n+1) less their sum.
     """
-    n = len(prefs)
-    ring = n + 1
+    ring = len(prefs) + 1
     check_preferences(prefs, ring)
-    check_choice_bits(beta, n)
-    moves = _ring_moves(ring)
-    occ = 0
-    for i, a in enumerate(prefs, start=1):
-        if occ >> (a - 1) & 1:
-            a = moves(occ, a)[0 if beta >> (i - 2) & 1 else 1]
-        occ |= 1 << (a - 1)
-    return (~occ & ((1 << ring) - 1)).bit_length()
+    check_choice_bits(beta, ring - 1)
+    return ring * (ring + 1) // 2 - sum(_park(prefs, beta, _ring_moves(ring)))
 
 
 def _distribution(n: int, states: dict, zero) -> tuple:

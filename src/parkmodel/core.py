@@ -14,8 +14,8 @@ hand.  Car 1 never finds its spot taken, so a choice vector for n cars has
 n-1 bits; bit j (0-based) of the integer belongs to car j+2.  Bits of cars
 whose preferred spot is free are simply ignored.
 
-Occupancy is a plain int bitmask of free spots: bit (s-1) set means spot s
-is still free.
+_park, like the exact step, tracks an int bitmask of taken spots (bit s-1
+set: spot s is taken); the bit helpers read its complement, the free spots.
 
 Every entry point that takes a model, k or Naples reading decodes them once,
 by _rule, into the (naples, k, firstfit) triple the kernels of every module
@@ -146,26 +146,38 @@ def _backward_spot(free: int, a: int, naples: bool, k: int, firstfit: bool) -> i
     return _lowest_free_from(free, start)
 
 
-def _park(prefs, beta, naples, k, firstfit) -> list:
+def _line_moves(n: int, rule):
+    """Landing spots (forward past a, _backward_spot) of a car blocked on the line."""
+    naples, k, firstfit = rule
+    full = (1 << n) - 1
+
+    def moves(occ: int, a: int) -> tuple[int, int]:
+        free = ~occ & full
+        return (
+            _lowest_free_from(free, a + 1),
+            _backward_spot(free, a, naples, k, firstfit),
+        )
+
+    return moves
+
+
+def _park(prefs, beta, moves) -> list:
     """Spots taken by cars 1, 2, ... in turn, stopping at the first car that fails.
 
-    Car i, blocked at its preferred spot, reads bit i-2 of beta: 1 searches
-    forward only, 0 takes the backward branch (the k-spot backup under
-    Naples, a backward-only search under direction). Every car parked iff
-    the list has one spot per car. Inputs unvalidated.
+    Car i, blocked at its preferred spot a, reads bit i-2 of beta: 1 lands
+    on the forward spot of moves(occ, a), 0 on the backward one, where occ
+    is the mask of taken spots and 0 means the car fails. Every car parked
+    iff the list has one spot per car. Inputs unvalidated.
     """
-    free = (1 << len(prefs)) - 1
+    occ = 0
     spots = []
     # s is car i's preferred spot until a blocked car moves it to its landing.
     for i, s in enumerate(prefs, start=1):
-        if not free >> (s - 1) & 1:
-            if beta >> (i - 2) & 1:
-                s = _lowest_free_from(free, s + 1)
-            else:
-                s = _backward_spot(free, s, naples, k, firstfit)
+        if occ >> (s - 1) & 1:
+            s = moves(occ, s)[0 if beta >> (i - 2) & 1 else 1]
             if not s:
                 break
-        free ^= 1 << (s - 1)
+        occ |= 1 << (s - 1)
         spots.append(s)
     return spots
 
@@ -181,7 +193,7 @@ def park_forward(prefs: Sequence[int]) -> ParkingResult:
     n = len(prefs)
     check_preferences(prefs, n)
     rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
-    return _result(_park(prefs, (1 << n) - 1, *rule), n)
+    return _result(_park(prefs, (1 << n) - 1, _line_moves(n, rule)), n)
 
 
 def park_naples_det(
@@ -195,7 +207,8 @@ def park_naples_det(
     """
     n = len(prefs)
     check_preferences(prefs, n)
-    return _result(_park(prefs, 0, *_rule(RandomModel.NAPLES, k, semantics)), n)
+    rule = _rule(RandomModel.NAPLES, k, semantics)
+    return _result(_park(prefs, 0, _line_moves(n, rule)), n)
 
 
 def _replay(prefs, beta, model, k, semantics) -> list:
@@ -203,7 +216,7 @@ def _replay(prefs, beta, model, k, semantics) -> list:
     n = len(prefs)
     check_preferences(prefs, n)
     check_choice_bits(beta, n)
-    return _park(prefs, beta, *_rule(model, k, semantics))
+    return _park(prefs, beta, _line_moves(n, _rule(model, k, semantics)))
 
 
 def park_with_choices(

@@ -22,8 +22,8 @@ each prefix's walk through _park_each.
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
-the probability of the backward branch (bit 0).  The backward branch itself
-is core._backward_spot, the landing rule the scalar walker uses.
+the probability of the backward branch (bit 0).  A blocked car lands by
+core._line_moves, the landing rule the scalar walker core._park uses.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .core import (
     DEFAULT_SEMANTICS,
     NaplesSemantics,
     RandomModel,
-    _backward_spot,
-    _lowest_free_from,
+    _line_moves,
     _rule,
     check_preferences,
 )
@@ -218,21 +217,6 @@ def _park_each(cars, moves, one, steps):
             continue
         for a in reversed(cars[len(prefix)]):
             stack.append((prefix + (a,), _park_car(states, (a,), moves, steps)))
-
-
-def _line_moves(n: int, rule):
-    """Landing spots (forward past a, core._backward_spot) on the n-spot line."""
-    naples, k, firstfit = rule
-    full = (1 << n) - 1
-
-    def moves(occ: int, a: int) -> tuple[int, int]:
-        free = ~occ & full
-        return (
-            _lowest_free_from(free, a + 1),
-            _backward_spot(free, a, naples, k, firstfit),
-        )
-
-    return moves
 
 
 def _success_sum(cars, rule, one, factors):

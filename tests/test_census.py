@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,9 @@ from parkmodel import (
     verify_sandwich,
 )
 from parkmodel.census import _census_rows, _transfer_matrices
-from parkmodel.core import _rule
+from parkmodel.core import _line_moves, _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
-    _line_moves,
     _park_each,
     _point_weight,
     _success_sum,
@@ -402,6 +401,22 @@ class TestStaircaseShapes:
         shapes = list(iter_staircase_shapes(n))
         assert len(shapes) == 1 << (n - 2)
         assert len(set(shapes)) == len(shapes)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_shape_order_is_the_recursive_preorder(self, n):
+        def preorder(rest, acc):
+            yield acc + (rest,)
+            for part in range(1, rest - 1):
+                yield from preorder(rest - part, acc + (part,))
+
+        got = [shape.multiplicities for shape in iter_staircase_shapes(n)]
+        assert got == list(preorder(n, ()))
+
+    def test_deep_shapes_need_no_recursion(self):
+        # Item j < n - 1 is j blocks of one car under a top block of n - j;
+        # a generator nested per block would pass the recursion limit here.
+        shape = next(islice(iter_staircase_shapes(1200), 1150, None))
+        assert shape.multiplicities == (1,) * 1150 + (50,)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from parkmodel import (
     Poly,
     circular_park,
     empty_spot_distribution,
+    park_with_choices,
     prob_random_direction,
     shift_preferences,
     verify_circular,
@@ -20,8 +22,8 @@ from parkmodel import (
 )
 from parkmodel import circular
 from parkmodel.circular import _distribution, _ring_moves, _ring_point
-from parkmodel.core import DEFAULT_SEMANTICS, RandomModel, _rule
-from parkmodel.exact import _POLY_FACTORS, _line_moves, _park_each
+from parkmodel.core import DEFAULT_SEMANTICS, RandomModel, _line_moves, _rule
+from parkmodel.exact import _POLY_FACTORS, _park_each
 
 from oracles import naive_circular_dist_at, naive_circular_empty, probe_points
 
@@ -132,10 +134,19 @@ class TestShiftPreferences:
 class TestAgainstLinearModel:
     """The spare spot stays empty exactly when the linear walk parks."""
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ring_leaves_the_spare_spot_iff_the_line_parks(self, n):
+        # The ring run follows the line run until the first car the line
+        # cannot park; that car wraps onto spot n+1, which then stays taken.
+        for prefs in product(range(1, n + 1), repeat=n):
+            for beta in range(1 << (n - 1)):
+                line = park_with_choices(prefs, beta, RandomModel.DIRECTION)
+                assert line.parked_all == (circular_park(prefs, beta) == n + 1), (
+                    prefs, beta
+                )
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_spare_spot_probability_is_linear_parking_probability(self, n):
-        from itertools import product
-
         for prefs in product(range(1, n + 1), repeat=n):
             dist = empty_spot_distribution(prefs)
             assert dist.prob_for_spot(n + 1) == prob_random_direction(prefs)

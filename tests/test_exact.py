@@ -24,10 +24,9 @@ from parkmodel import (
     staircase_choice_count,
 )
 from parkmodel.circular import _ring_moves
-from parkmodel.core import _rule
+from parkmodel.core import _line_moves, _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
-    _line_moves,
     _park_all,
     _park_each,
     _success_sum,

@@ -23,7 +23,7 @@ from parkmodel import (
     parks_under_choices,
     prob_of_model,
 )
-from parkmodel.core import _backward_spot, _lowest_free_from, _park
+from parkmodel.core import _backward_spot, _line_moves, _lowest_free_from, _park
 
 JUMP = NaplesSemantics.JUMP_BACK_THEN_FORWARD
 FIRSTFIT = NaplesSemantics.FIRST_FIT_BACKWARD
@@ -68,9 +68,8 @@ def _beta(row) -> int:
 def _expected_parks(prefs, bits, naples, k, firstfit) -> list:
     n = prefs.shape[1]
     rows = [tuple(row) for row in prefs.tolist()]
-    return [
-        len(_park(t, _beta(b), naples, k, firstfit)) == n for t, b in zip(rows, bits)
-    ]
+    moves = _line_moves(n, (naples, k, firstfit))
+    return [len(_park(t, _beta(b), moves)) == n for t, b in zip(rows, bits)]
 
 
 def _assert_walker_matches_parks(prefs, bits, configs=None):
@@ -511,11 +510,12 @@ class TestAutomaton:
         tuples = np.array(list(product(range(1, n + 1), repeat=n)))
         choices = np.arange(1 << (n - 1))[:, None] >> np.arange(n - 1) & 1 == 1
         for naples, k, firstfit in WALKER_CONFIGS:
+            moves = _line_moves(n, (naples, k, firstfit))
             # Row beta of choices is the choice vector beta.
             want = np.array(
                 [
                     [
-                        len(_park(t, beta, naples, k, firstfit)) == n
+                        len(_park(t, beta, moves)) == n
                         for beta in range(len(choices))
                     ]
                     for t in tuples.tolist()
@@ -590,6 +590,7 @@ class TestAutomaton:
         ]
         for naples, k, firstfit in WALKER_CONFIGS:
             auto = montecarlo._all_spot_automaton(n, naples, k, firstfit, 1 << 20)
+            moves = _line_moves(n, (naples, k, firstfit))
             assert (auto.dead, auto.states_peak) == (1, comb(n, n // 2))
             assert [i for i, _ in auto.steps] == list(range(n))
             for d, table in auto.steps:
@@ -601,7 +602,7 @@ class TestAutomaton:
                     head = [j + 1 for j in range(n) if mask >> (n - 1 - j) & 1]
                     for a, b in product(range(1, n + 1), (0, 1)):
                         prefs = head + [a] + [1] * (n - d - 1)
-                        spots = _park(prefs, b << (d - 1) if d else 0, naples, k, firstfit)
+                        spots = _park(prefs, b << (d - 1) if d else 0, moves)
                         if len(spots) > d:
                             want = nxt.index(sum(1 << (n - x) for x in spots[: d + 1]))
                         else:
