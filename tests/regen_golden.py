@@ -176,6 +176,20 @@ def _cases() -> dict[str, list[str]]:
             "prob", "--alpha", "2,2,2", "--model", "naples", "--p", "1" + "0" * 200,
         ],
     })
+    # k = 2 with no --semantics reads the default Naples reading, so a change
+    # of that default shows up as a diff of these files.
+    k2 = ["--model", "naples", "--k", "2"]
+    for fmt in ("text", "json"):
+        cases[f"prob-14443-naples-k2-default-{fmt}"] = [
+            "prob", "--alpha", "1,4,4,4,3", *k2, "--format", fmt,
+        ]
+    cases["census-n5-k2-default-json"] = [
+        "census", "--n", "5", "--k", "2", "--format", "json",
+    ]
+    cases["mc-n5-k2-default-json"] = [
+        "mc", "--n", "5", *k2, "--tuple-samples", "1000", "--seed", "3",
+        "--format", "json",
+    ]
     return cases
 
 

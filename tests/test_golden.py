@@ -40,7 +40,7 @@ def test_mc_totals_split_between_automaton_and_replay():
         if case["args"][:2] == ["mc", "--n"] and "--format" in case["args"]
         and case["args"][case["args"].index("--format") + 1] == "json"
     ]
-    assert len(totals) == 41
+    assert len(totals) == 42
     for name in totals:
         args = INDEX[name]["args"]
         n = int(args[2])
