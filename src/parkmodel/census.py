@@ -31,7 +31,8 @@ below, which need no array, start without paying for it.
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
-report-producing verifiers wired to the command-line `verify` subcommand.
+report-producing verifiers wired to the command-line `verify` subcommand,
+none of which builds a polynomial.
 A staircase's choice count is 2^(n-1) - 1 minus one power of two per block
 remainder, so the inverse reads the staircase off the binary digits of the
 target in O(n); every constructed tuple is re-checked by the exact point
@@ -51,7 +52,7 @@ from .core import (
     _check_int,
     _rule,
 )
-from .exact import Poly, _point_weight, _success_poly, parking_choice_count
+from .exact import _kronecker_point, _point_weight, parking_choice_count
 from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 from .recursions import expected_random_naples, naples_count, parking_count
 
@@ -335,18 +336,16 @@ def iter_staircase_shapes(n: int) -> Iterator[StaircaseShape]:
 def staircase_choice_count(shape: StaircaseShape) -> int:
     """Closed-form count of successful choice vectors for a staircase tuple.
 
-    Peeling the trailing block of m_2 2s off an n-car staircase contributes
-    2^(n-1) - 2^(n-m_2) plus the count of the peeled (and value-shifted)
-    remainder; a solid block of 2s contributes 2^(n-1) - 1. Unrolled, that
-    is the alternating sum evaluated here. The result is always odd.
+    It is 2^(n-1) - 1 - sum_r 2^(r-1) over the block remainders r: the car
+    counts left as each block below the top is peeled off, the trailing
+    block of 2s first. _staircase_for_odd reads a staircase off this form.
+    Every r is at least the top block's 2 cars, so the result is always odd.
     """
-    ms = shape.multiplicities
-    rem = shape.n
-    g = 0
-    for m in ms[:-1]:
-        g += (1 << (rem - 1)) - (1 << (rem - m))
-        rem -= m
-    g += (1 << (rem - 1)) - 1
+    g = (1 << (shape.n - 1)) - 1
+    rest = shape.n
+    for m in shape.multiplicities[:-1]:
+        rest -= m
+        g -= 1 << (rest - 1)
     if not g & 1:
         raise RuntimeError("staircase count came out even; the shape walk is broken")
     return g
@@ -575,21 +574,21 @@ DIRECTION_TOTAL_MAX_N = 7
 def verify_direction_total(n: int) -> VerificationReport:
     """Sum of random-direction parking probabilities is (n+1)^(n-1), exactly in p.
 
-    Carries one polynomial per occupancy mask over every tuple in {1..n}^n
-    at once (each car may prefer every spot), sums them, and compares the
-    sum with the constant the closed form predicts. This is the strongest
-    desk check of the expected-count identity for the direction model: it
-    holds for all p.
+    Carries one integer per occupancy mask, the polynomial at p = X
+    (exact._kronecker_point), over every tuple in {1..n}^n at once, and
+    compares the sum with the constant the closed form predicts; equal ints
+    mean equal polynomials, so the identity holds for all p. On a pass the
+    detail's "got" is that constant, on a failure the sum's value at X.
     """
     _check_sweep(n, "direction-total", DIRECTION_TOTAL_MAX_N)
     rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
-    poly = _success_poly([range(1, n + 1)] * n, rule)
-    expected = Poly.constant((n + 1) ** (n - 1))
+    got = _point_weight([range(1, n + 1)] * n, rule, _kronecker_point(n), 1)
+    expected = (n + 1) ** (n - 1)
     checks = (
         CheckResult(
             "probability sum is constant in p",
-            poly == expected,
-            f"n={n}: got {poly}, expected {expected}",
+            got == expected,
+            f"n={n}: got {got}, expected {expected}",
         ),
     )
     return VerificationReport("direction-total", checks)

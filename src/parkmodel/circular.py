@@ -10,9 +10,8 @@ linear model allows.
 
 The public distribution carries one Poly per occupancy mask.  The
 exhaustive check verify_circular carries one integer per mask instead, the
-polynomial's value at p = X = 2^B (Kronecker substitution), with B large
-enough that every compared coefficient lies below X/2 in absolute value;
-so equal integers mean equal polynomials, and nothing is decoded.
+polynomial's value at p = X = exact._kronecker_point(n), where equal
+integers mean equal polynomials, so nothing is decoded.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .core import (
     check_choice_bits,
     check_preferences,
 )
-from .exact import _POLY_FACTORS, Poly, _park_all, _park_each
+from .exact import _POLY_FACTORS, Poly, _kronecker_point, _park_all, _park_each
 
 
 @dataclass(frozen=True)
@@ -140,18 +139,6 @@ def empty_spot_distribution(prefs: Sequence[int]) -> EmptySpotDistribution:
 CIRCULAR_SWEEP_MAX_N = 4
 
 
-def _ring_point(n: int) -> int:
-    """X = 2^B, B = bitlen((n+1)^n) + 2n + 1: the point verify_circular carries.
-
-    A tuple's probability of any outcome, ring or linear, sums at most
-    2^(n-1) products of p and 1 - p, one per choice vector, and each product
-    has coefficients of absolute sum at most 2^(n-1).  So its coefficients
-    are at most 4^(n-1) in absolute value, and those of a column sum over
-    the (n+1)^n tuples at most (n+1)^n * 4^(n-1) < 2^(B-3) < X/2.
-    """
-    return 1 << (((n + 1) ** n).bit_length() + 2 * n + 1)
-
-
 def verify_circular(n: int) -> VerificationReport:
     """Sweep all (n+1)^n ring tuples and check the structural properties.
 
@@ -165,15 +152,13 @@ def verify_circular(n: int) -> VerificationReport:
     that car wraps onto spot n+1.
 
     Both sweeps carry one integer per mask, the polynomial at p = X
-    (_ring_point), with steps (1, X, 1 - X).  Every value compared, and
-    every target (1, 0, (n+1)^(n-1)), has coefficients below X/2 in
-    absolute value, so a difference of two has them below X, and such a
-    polynomial is 0 at X only when it is 0: its top term outweighs the
-    rest.  So int equality is polynomial equality.
+    (exact._kronecker_point), with steps (1, X, 1 - X).  Every value
+    compared, at most a column sum over the (n+1)^n tuples, and every
+    target (1, 0, (n+1)^(n-1)) lies within its bound.
     """
     _check_sweep(n, "circular", CIRCULAR_SWEEP_MAX_N)
     ring = n + 1
-    x = _ring_point(n)
+    x = _kronecker_point(n)
     steps = (1, x, 1 - x)
     shift_bad = 0
     naming_bad = 0

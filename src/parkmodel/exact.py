@@ -17,8 +17,11 @@ other.  The probability is the summed weight over v^(n-1).  At p = 1/2 the
 factors are 2/1/1 and the weight counts successful choice vectors, which is
 how parking_choice_count and prob_of_model_at avoid building a polynomial.
 Letting a car prefer every spot at once gives the sum over all n^n tuples
-in the same one walk (_success_poly, _point_weight).  Per-tuple sweeps share
-each prefix's walk through _park_each.
+in the same one walk.  At p = 2^B (_kronecker_point) the weight stands for
+the polynomial itself, so the verifiers compare ints and build no Poly; a
+Poly is carried only where one is returned (prob_of_model,
+circular.empty_spot_distribution).  Per-tuple sweeps share each prefix's
+walk through _park_each.
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
@@ -49,21 +52,21 @@ class Poly:
 
     ``coeffs[i]`` multiplies p**i.  Any sequence of ints is stored as a
     canonical tuple (no trailing zeros, and the zero polynomial is the empty
-    tuple), so equal polynomials compare and hash equal.  Multiplying by an
-    int scales the coefficients, which lets the exact step carry a Poly or
-    an int through the same ``value * factor``.
+    tuple), so equal polynomials compare and hash equal; any other
+    coefficient, a bool or a float among them, raises ValueError.
+    Multiplying by an int scales the coefficients, which lets the exact step
+    carry a Poly or an int through the same ``value * factor``.  Arithmetic
+    with anything but a Poly (or an int, for ``*``) raises TypeError.
     """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = self.coeffs
-        if type(c) is tuple and (not c or c[-1]):
-            return
-        c = tuple(c)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        c = tuple(self.coeffs)
+        for x in c:
+            if type(x) is not int:
+                raise ValueError(f"Poly coefficients must be integers, got {x!r}")
+        object.__setattr__(self, "coeffs", _trim(c))
 
     @staticmethod
     def zero() -> "Poly":
@@ -83,27 +86,33 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(tuple(out))
+        return _poly(tuple(out))
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "Poly | int") -> "Poly":
         """Product with a Poly, or with an int through scale."""
-        if isinstance(other, int):
+        if type(other) is int:
             return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly(())
+            return _poly(())
         if len(a) < len(b):
             a, b = b, a
         # One pass over the longer factor per coefficient of the shorter one.
@@ -112,13 +121,15 @@ class Poly:
             if cb:
                 for i, ca in enumerate(a, j):
                     out[i] += ca * cb
-        return Poly(tuple(out))
+        return _poly(tuple(out))
 
     def scale(self, c: int) -> "Poly":
         """c times self; scale(1) is self itself, so a unit factor costs nothing."""
         if c == 1:
             return self
-        return Poly(tuple(c * x for x in self.coeffs))
+        if type(c) is not int:
+            raise ValueError(f"Poly scale factor must be an integer, got {c!r}")
+        return _poly(tuple(c * x for x in self.coeffs))
 
     def evaluate(self, p: Fraction) -> Fraction:
         """Evaluate at an exact rational point.
@@ -153,6 +164,20 @@ class Poly:
         for t in parts[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
+
+
+def _trim(c: tuple) -> tuple:
+    """c without trailing zeros: the canonical coefficients of a Poly."""
+    while c and not c[-1]:
+        c = c[:-1]
+    return c
+
+
+def _poly(c: tuple) -> Poly:
+    """Poly(c) for arithmetic's results, whose ints need no check: only trimmed."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", _trim(c))
+    return p
 
 
 # The (free spot, p-branch, (1 - p)-branch) factors of the polynomial carry.
@@ -232,11 +257,6 @@ def _success_sum(cars, rule, one, factors):
     return sum(states.values(), one * 0)
 
 
-def _success_poly(cars, rule) -> Poly:
-    """Success probability in p, summed over the tuples cars spans."""
-    return _success_sum(cars, rule, Poly.one(), _POLY_FACTORS)
-
-
 def _point_weight(cars, rule, u: int, v: int) -> int:
     """v^(n-1) times the success probability at p = u/v, summed over the tuples.
 
@@ -246,6 +266,19 @@ def _point_weight(cars, rule, u: int, v: int) -> int:
     so the weight counts successful choice vectors.
     """
     return _success_sum(cars, rule, 1, (v, u, v - u))
+
+
+def _kronecker_point(n: int) -> int:
+    """X = 2^B, B = bitlen((n+1)^n) + 2n + 1: where the verifiers' int carry runs.
+
+    A tuple's probability of any outcome, ring or linear, sums at most
+    2^(n-1) products of p and 1 - p, each with coefficients of absolute sum
+    at most 2^(n-1), and a sum over at most (n+1)^n tuples has them below
+    (n+1)^n * 4^(n-1) < X/2 (Kronecker substitution).  Two values below
+    that bound differ by a polynomial with coefficients below X, which is 0
+    at X only when it is 0: so int equality is polynomial equality.
+    """
+    return 1 << (((n + 1) ** n).bit_length() + 2 * n + 1)
 
 
 def prob_random_direction(prefs: Sequence[int]) -> Poly:
@@ -278,7 +311,8 @@ def prob_of_model(
 ) -> Poly:
     """Exact parking probability under model (a member or its value)."""
     check_preferences(prefs, len(prefs))
-    return _success_poly([(a,) for a in prefs], _rule(model, k, semantics))
+    cars = [(a,) for a in prefs]
+    return _success_sum(cars, _rule(model, k, semantics), Poly.one(), _POLY_FACTORS)
 
 
 def prob_of_model_at(

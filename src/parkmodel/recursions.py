@@ -106,7 +106,7 @@ def expected_random_direction(n: int) -> int:
 
     Equal to the classic parking-function count for every choice of p, so
     this takes no p argument; the polynomial identity behind that fact is
-    checked tuple-by-tuple in census.verify_direction_total.
+    checked over all n^n tuples at once in census.verify_direction_total.
     """
     _check_int(n, "car count n", 1)
     return (n + 1) ** (n - 1)

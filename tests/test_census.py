@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ import parkmodel.census as census
 from parkmodel import (
     NaplesSemantics,
     Poly,
+    RandomModel,
     StaircaseShape,
     compare_naples_semantics,
     expected_random_naples,
@@ -28,6 +30,7 @@ from parkmodel import (
     naples_count,
     parking_choice_count,
     parking_count,
+    prob_of_model,
     prob_random_direction,
     prob_random_naples,
     shape_of,
@@ -40,9 +43,11 @@ from parkmodel import (
     verify_sandwich,
 )
 from parkmodel.census import _census_rows, _transfer_matrices
+from parkmodel.cli import main
 from parkmodel.core import _line_moves, _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
+    _kronecker_point,
     _park_each,
     _point_weight,
     _success_sum,
@@ -680,6 +685,33 @@ class TestVerifiers:
         for p in probe_points(n):
             want = sum(naive_prob_at(t, p, "direction") for t in all_tuples(n))
             assert per_tuple.evaluate(p) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_direction_total_integer_is_the_tuple_polynomials_at_the_point(self, n):
+        # p is the forward branch: each tuple's point carry at X is its
+        # polynomial read at X, and the verifier's integer is their sum.
+        x = _kronecker_point(n)
+        rule = _rule(RandomModel.DIRECTION, 0, JUMP)
+        total = 0
+        for t in all_tuples(n):
+            at_x = prob_of_model(t, RandomModel.DIRECTION).evaluate(x)
+            assert _point_weight([(a,) for a in t], rule, x, 1) == at_x
+            total += at_x
+        detail = verify_direction_total(n).checks[0].detail
+        assert detail == f"n={n}: got {total}, expected {(n + 1) ** (n - 1)}"
+
+    def test_a_sum_that_is_not_constant_fails_theorem2(self, monkeypatch):
+        point_weight = census._point_weight
+
+        def plus_p(cars, rule, u, v):
+            # The planted sum is the true one plus p, read at p = u/v = X.
+            return point_weight(cars, rule, u, v) + u
+
+        monkeypatch.setattr(census, "_point_weight", plus_p)
+        result = CliRunner().invoke(main, ["verify", "--check", "theorem2", "--n", "3"])
+        assert result.exit_code == 1
+        assert f"got {16 + _kronecker_point(3)}, expected 16" in result.stdout
+        assert "direction-total: FAILED" in result.stdout
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_letter_step_sums_the_tuple_counts(self, n):

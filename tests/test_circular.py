@@ -21,9 +21,9 @@ from parkmodel import (
     VerificationReport,
 )
 from parkmodel import circular
-from parkmodel.circular import _distribution, _ring_moves, _ring_point
+from parkmodel.circular import _distribution, _ring_moves
 from parkmodel.core import DEFAULT_SEMANTICS, RandomModel, _line_moves, _rule
-from parkmodel.exact import _POLY_FACTORS, _park_each
+from parkmodel.exact import _POLY_FACTORS, _kronecker_point, _park_each
 
 from oracles import naive_circular_dist_at, naive_circular_empty, probe_points
 
@@ -293,7 +293,7 @@ def _ring_and_line_sweeps(n, one, steps):
 class TestRingPointCarry:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_int_states_are_the_poly_states_at_the_ring_point(self, n):
-        x = _ring_point(n)
+        x = _kronecker_point(n)
         by_poly = _ring_and_line_sweeps(n, Poly.one(), _POLY_FACTORS)
         by_int = _ring_and_line_sweeps(n, 1, (1, x, 1 - x))
         swept = 0
@@ -309,7 +309,7 @@ class TestRingPointCarry:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_compared_coefficients_stay_below_half_the_ring_point(self, n):
-        half = _ring_point(n) // 2
+        half = _kronecker_point(n) // 2
         ring = n + 1
         dists = [
             _distribution(n, states, Poly.zero())

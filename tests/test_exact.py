@@ -89,6 +89,26 @@ class TestPolyAlgebra:
         with pytest.raises(TypeError):
             Poly((0, 1)).evaluate("1/2")
 
+    @pytest.mark.parametrize(
+        "coeffs", [(0.5,), (1, Fraction(1, 2)), ("1",), (True, 2), [1, False]]
+    )
+    def test_non_int_coefficients_are_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            Poly(coeffs)
+
+    def test_non_int_scale_factor_is_rejected(self):
+        with pytest.raises(ValueError, match="scale factor must be an integer"):
+            Poly((1, 2)).scale(0.5)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a: a + 1, lambda a: a - 2, lambda a: a * 1.5, lambda a: a * True],
+        ids=["add-int", "sub-int", "mul-float", "mul-bool"],
+    )
+    def test_foreign_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Poly((1,)))
+
     def test_str_rendering(self):
         assert str(Poly.zero()) == "0"
         assert str(Poly.constant(3)) == "3"
