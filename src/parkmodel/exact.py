@@ -78,7 +78,7 @@ class Poly:
 
     @staticmethod
     def constant(c: int) -> "Poly":
-        return Poly((c,)) if c else Poly(())
+        return Poly((c,))
 
     @property
     def degree(self) -> int:

@@ -100,6 +100,11 @@ class TestPolyAlgebra:
         with pytest.raises(ValueError, match="scale factor must be an integer"):
             Poly((1, 2)).scale(0.5)
 
+    @pytest.mark.parametrize("c", [0.0, False])
+    def test_non_int_constant_is_rejected(self, c):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            Poly.constant(c)
+
     @pytest.mark.parametrize(
         "op",
         [lambda a: a + 1, lambda a: a - 2, lambda a: a * 1.5, lambda a: a * True],
