@@ -28,6 +28,7 @@ from .census import (
     verify_direction_total,
     verify_monotonicity,
     verify_odd_census,
+    verify_odd_parity,
     verify_sandwich,
 )
 from .circular import (
@@ -104,5 +105,6 @@ __all__ = [
     "verify_direction_total",
     "verify_monotonicity",
     "verify_odd_census",
+    "verify_odd_parity",
     "verify_sandwich",
 ]

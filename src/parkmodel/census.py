@@ -23,11 +23,16 @@ prefixes that leave equal rows are merged before each product, by
 montecarlo._distinct_rows (the fixed-tuple automaton's merge too: a
 multiplicative hash of each row checked for exact equality), and each
 merge's inverse map is kept, so any single tuple's count is an O(n)
-walk. The histogram (_census_histogram) and the odd census both read off
-that DP; the odd census walks only the staircases.
+walk. full_census bincounts that DP's final rows.
 numpy is imported inside the functions that build and multiply the
 matrices, not at module top, so the exact constructions and verifiers
 below, which need no array, start without paying for it.
+
+The odd-count verifiers need only parity, and run the exact step
+(exact._park_car) instead: modulo 2 a car whose spot is free doubles its
+state's weight and so kills it, which leaves at most n merged prefixes
+per layer at k = 1 (_parity_census), and a depth-first walk counts every
+staircase exactly (_staircase_counts).
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -41,6 +46,8 @@ count (exact.parking_choice_count).
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -50,9 +57,10 @@ from .core import (
     NaplesSemantics,
     RandomModel,
     _check_int,
+    _line_moves,
     _rule,
 )
-from .exact import _kronecker_point, _point_weight, parking_choice_count
+from .exact import _kronecker_point, _park_car, _point_weight, parking_choice_count
 from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 from .recursions import expected_random_naples, naples_count, parking_count
 
@@ -206,15 +214,6 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     return steps, states[:, 0].astype(np.int64), weights
 
 
-def _census_histogram(n: int, rule: tuple) -> tuple[list, np.ndarray, list]:
-    """_census_rows's steps and counts, and the tuples per choice count 0..2^(n-1)."""
-    import numpy as np
-
-    steps, counts, weights = _census_rows(n, rule)
-    hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
-    return steps, counts, hist.tolist()
-
-
 def full_census(
     n: int, k: int = 1, semantics: NaplesSemantics = DEFAULT_SEMANTICS
 ) -> DistributionTable:
@@ -237,8 +236,11 @@ def full_census(
             f"census at n={n} would sweep {n}^{n} = {n**n} tuples; "
             f"the supported maximum is {CENSUS_HARD_MAX_N}"
         )
-    counts = tuple(_census_histogram(n, rule)[2])
-    table = DistributionTable(n, k, NaplesSemantics(semantics), counts)
+    import numpy as np
+
+    _, counts, weights = _census_rows(n, rule)
+    hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
+    table = DistributionTable(n, k, NaplesSemantics(semantics), tuple(hist.tolist()))
 
     if table.total() != n**n:
         raise RuntimeError(f"census total is not {n}^{n}")
@@ -425,70 +427,202 @@ def _check_sweep(n, what: str, hi: int, lo: int = 1) -> None:
         raise ValueError(f"the {what} sweep supports {lo} <= n <= {hi}, got {n}")
 
 
+def _stair_letters(n: int, d: int, last: int) -> list[int]:
+    """Letters car d + 1 may prefer after a staircase prefix whose last letter is last.
+
+    A staircase starts with a repeated letter a >= 2 and then steps by 0 or
+    -1 down to 2: car 1 takes any a >= 2, car 2 repeats it, and later cars
+    keep or lower the last letter. A letter above n + 1 - d could not step
+    down to 2 in the cars left, so the n-letter words these letters build
+    are exactly the staircases.
+    """
+    letters = range(2, n + 1) if not d else (last,) if d == 1 else (last, last - 1)
+    return [a for a in letters if 2 <= a <= n + 1 - d]
+
+
+def _parity_census(n: int, rule: tuple) -> tuple[int, int, int]:
+    """(odd staircases, even staircases, other odd tuples): the census mod 2.
+
+    A tuple's choice count is its point carry at p = 1/2, with steps (2, 1,
+    1) for (free spot, forward, backward), and modulo 2 a free spot kills
+    its state. So a prefix keeps only its set of odd masks, advanced one
+    letter at a time by exact._park_car with steps (0, 1, 1), and prefixes
+    merge when their sets and their staircase keys are equal: the last
+    letter of a staircase prefix (_stair_letters), 0 for any other. A key
+    with no odd mask and no staircase can only end even and is dropped.
+    Each key carries its prefix count, a Python int, so any n is exact; at
+    k = 1 a layer holds at most n keys. After car n the one mask left is
+    the full lot, so a key's tuples are odd iff its set is nonempty. Any
+    rule triple of core._rule is accepted.
+    """
+    moves = _line_moves(n, rule)
+    first = _stair_letters(n, 0, 0)
+    layer = {
+        (frozenset((1 << (a - 1),)), a if a in first else 0): 1
+        for a in range(1, n + 1)
+    }
+    for d in range(1, n):
+        nxt: dict = {}
+        for (masks, stair), weight in layer.items():
+            states = dict.fromkeys(masks, 1)
+            stairs = _stair_letters(n, d, stair) if stair else ()
+            taken = 0
+            for occ in masks:
+                taken |= occ
+            for a in range(1, n + 1):
+                # A spot every state has free doubles every state: all even.
+                if taken >> (a - 1) & 1:
+                    new = _park_car(states, (a,), moves, (0, 1, 1))
+                    odd = frozenset([occ for occ, v in new.items() if v & 1])
+                else:
+                    odd = frozenset()
+                key = (odd, a if a in stairs else 0)
+                if odd or key[1]:
+                    nxt[key] = nxt.get(key, 0) + weight
+        layer = nxt
+    odd_stairs = even_stairs = others = 0
+    for (masks, stair), weight in layer.items():
+        if not stair:
+            others += weight
+        elif masks:
+            odd_stairs += weight
+        else:
+            even_stairs += weight
+    return odd_stairs, even_stairs, others
+
+
+def _staircase_counts(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (staircase, choice count) for every n-car staircase, depth first.
+
+    Each count is the point carry at p = 1/2 (steps (2, 1, 1)) under the
+    k = 1 Naples rule, advanced by exact._park_car one letter at a time, so
+    a prefix that several staircases share is parked once.
+    """
+    moves = _line_moves(n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS))
+    stack = [((a,), {1 << (a - 1): 1}) for a in reversed(_stair_letters(n, 0, 0))]
+    while stack:
+        prefix, states = stack.pop()
+        if len(prefix) == n:
+            yield prefix, sum(states.values())
+            continue
+        for a in reversed(_stair_letters(n, len(prefix), prefix[-1])):
+            stack.append((prefix + (a,), _park_car(states, (a,), moves, (2, 1, 1))))
+
+
+def _parity_rows(n: int, swept: str) -> tuple[CheckResult, CheckResult, int]:
+    """The k = 1 parity census's two rows, and its count of other odd tuples.
+
+    "odd count iff staircase" counts the staircases with an even count plus
+    the other tuples with an odd one; "staircase count" compares the
+    staircases among all n^n tuples with 2^(n-2). swept names the tuples.
+    """
+    rule = _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
+    odd_stairs, even_stairs, others = _parity_census(n, rule)
+    found, expected = odd_stairs + even_stairs, 1 << (n - 2)
+    return (
+        CheckResult(
+            "odd count iff staircase",
+            not (even_stairs or others),
+            f"{swept} tuples swept, {even_stairs + others} violations",
+        ),
+        CheckResult(
+            "staircase count",
+            found == expected,
+            f"found {found}, expected {expected}",
+        ),
+        others,
+    )
+
+
+ODD_CENSUS_MAX_N = 16
+
+
 def verify_odd_census(n: int) -> VerificationReport:
-    """Census all n^n tuples and confirm the odd-count structure.
+    """Confirm the odd-count structure over all n^n tuples, 2 <= n <= 16.
 
     Checks: a tuple's choice count is odd exactly when the tuple is a
     staircase; the odd counts hit each of {1, 3, ..., 2^(n-1) - 1} exactly
     once; there are exactly 2^(n-2) staircases; and the closed form matches
-    the census count on every staircase. Findings map each odd numerator to
-    its unique tuple.
+    each staircase's exact count. Findings map each odd numerator to its
+    unique tuple.
 
-    Everything is read off one distinct-row DP (_census_rows): the weighted
-    histogram of all counts, and each staircase's own count by its O(n)
-    row walk. The staircases are those iter_staircase_shapes expands to,
-    so the parity violations are the staircases with an even count plus
-    the odd-count tuples that are not staircases: every odd-count tuple in
-    the histogram less the staircases among them.
+    The parity and staircase rows come from the parity census
+    (_parity_rows), the others from every staircase's exact count
+    (_staircase_counts); no array is built. The census counts the other
+    tuples with an odd count but not their counts, so on a failure the "odd
+    numerators" detail and the findings count staircase numerators only.
     """
-    _check_sweep(n, "exhaustive odd-count", CENSUS_HARD_MAX_N, 2)
-    rule = _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS)
-    steps, counts, hist = _census_histogram(n, rule)
-    stairs = {}
-    for shape in iter_staircase_shapes(n):
-        alpha = shape.expand()
-        r = 0
-        for inverse, a in zip(steps, alpha):
-            r = int(inverse[r]) * n + a - 1
-        stairs[alpha] = (shape, int(counts[r]))
-
-    odd = hist[1::2]
-    odd_stairs = sum(g & 1 for _, g in stairs.values())
-    # Staircases with an even count, plus odd-count tuples that are not one.
-    parity_violations = (len(stairs) - odd_stairs) + (sum(odd) - odd_stairs)
+    _check_sweep(n, "exhaustive odd-count", ODD_CENSUS_MAX_N, 2)
+    parity, staircases, others = _parity_rows(n, str(n**n))
+    stairs = dict(_staircase_counts(n))
+    hits = Counter(stairs.values())
+    odd = [g for g in hits if g & 1]
     expected = 1 << (n - 2)
-    closed_form_bad = [
-        shape
-        for shape, g in stairs.values()
-        if g != staircase_choice_count(shape) or hist[g] != 1
-    ]
+    closed_form_bad = 0
+    for shape in iter_staircase_shapes(n):
+        g = stairs.get(shape.expand())
+        closed_form_bad += g != staircase_choice_count(shape) or hits[g] != 1
 
     checks = (
-        CheckResult(
-            "odd count iff staircase",
-            not parity_violations,
-            f"{n**n} tuples swept, {parity_violations} violations",
-        ),
+        parity,
         CheckResult(
             "odd numerators each hit once",
-            all(c == 1 for c in odd),
-            f"{sum(c > 0 for c in odd)} distinct odd numerators, expected {expected}",
+            not others and len(odd) == expected and all(hits[g] == 1 for g in odd),
+            f"{len(odd)} distinct odd numerators, expected {expected}",
         ),
-        CheckResult(
-            "staircase count",
-            len(stairs) == expected,
-            f"found {len(stairs)}, expected {expected}",
-        ),
+        staircases,
         CheckResult(
             "closed form matches sweep on staircases",
             not closed_form_bad,
-            f"{len(closed_form_bad)} mismatching shapes",
+            f"{closed_form_bad} mismatching shapes",
         ),
     )
     findings = dict(
-        sorted((g, alpha) for alpha, (_, g) in stairs.items() if g & 1 and hist[g] == 1)
+        sorted((g, alpha) for alpha, g in stairs.items() if g & 1 and hits[g] == 1)
     )
     return VerificationReport("odd-census", checks, findings)
+
+
+ODD_PARITY_MAX_N = 100
+# verify_odd_parity re-checks this many staircases, drawn at this seed.
+PARITY_SAMPLES = 64
+PARITY_SEED = 2021
+
+
+def verify_odd_parity(n: int) -> VerificationReport:
+    """The odd-count theorem by the census mod 2, for 2 <= n <= 100.
+
+    Rows: the tuples with an odd choice count are exactly the staircases,
+    and there are 2^(n-2) of them, as many as odd numerators, both
+    exhaustive over all n^n tuples by the parity census (_parity_rows); and
+    on PARITY_SAMPLES distinct staircases drawn at PARITY_SEED (every
+    staircase while there are no more), the closed form
+    staircase_choice_count and the exact parking_choice_count both give the
+    numerator 2t - 1 the staircase was drawn for. The closed form is injective (_staircase_for_odd
+    inverts it), so together the rows put each odd numerator on exactly one
+    tuple.
+    """
+    _check_sweep(n, "odd-parity", ODD_PARITY_MAX_N, 2)
+    parity, staircases, _ = _parity_rows(n, f"{n}^{n}")
+    total = 1 << (n - 2)
+    if total <= PARITY_SAMPLES:
+        ts, drawn = range(1, total + 1), f"all {total} staircases,"
+    else:
+        rng, ts = random.Random(PARITY_SEED), set()
+        while len(ts) < PARITY_SAMPLES:
+            ts.add(rng.randrange(total) + 1)
+        drawn = f"{PARITY_SAMPLES} staircases drawn at seed {PARITY_SEED},"
+    bad = 0
+    for t in ts:
+        alpha = _staircase_for_odd(n, t)
+        counts = {staircase_choice_count(shape_of(alpha)), parking_choice_count(alpha)}
+        bad += counts != {2 * t - 1}
+    closed_form = CheckResult(
+        "closed form matches exact count on drawn staircases",
+        not bad,
+        f"{drawn} {bad} mismatching",
+    )
+    return VerificationReport("odd-parity", (parity, staircases, closed_form))
 
 
 def verify_sandwich(n_max: int) -> VerificationReport:

@@ -40,19 +40,28 @@ class EmptySpotDistribution:
     """Exact distribution of the one empty spot on the (n+1)-ring.
 
     probs[i] is the probability (a polynomial in p) that spot i + 1 is the
-    empty one; the entries sum to the constant polynomial 1.
+    empty one; the entries sum to the constant polynomial 1, and each lies
+    in [0, 1] at p = 0 and at p = 1. Anything else raises ValueError.
     """
 
     n: int
     probs: tuple[Poly, ...]
 
     def __post_init__(self):
+        _check_int(self.n, "car count n", 1)
         if len(self.probs) != self.n + 1:
             raise ValueError(
                 f"need {self.n + 1} entries for {self.n} cars, got {len(self.probs)}"
             )
         if sum(self.probs, Poly.zero()) != Poly.one():
             raise ValueError("empty-spot probabilities do not sum to 1")
+        for spot, prob in enumerate(self.probs, start=1):
+            # The values at p = 0 and p = 1: the constant and the coefficient sum.
+            if not all(0 <= v <= 1 for v in (sum(prob.coeffs[:1]), sum(prob.coeffs))):
+                raise ValueError(
+                    f"the probability of spot {spot}, {prob}, leaves [0, 1] "
+                    "at p = 0 or p = 1"
+                )
 
     def prob_for_spot(self, spot: int) -> Poly:
         _check_int(spot, "spot")

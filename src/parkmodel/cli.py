@@ -30,6 +30,7 @@ from .census import (
     verify_direction_total,
     verify_monotonicity,
     verify_odd_census,
+    verify_odd_parity,
     verify_sandwich,
 )
 from .circular import verify_circular
@@ -279,6 +280,7 @@ def census(n, k, semantics, threads, fmt):
 _VERIFIERS = {
     "monotonicity": lambda n: verify_monotonicity(n),
     "odd-census": lambda n: verify_odd_census(n),
+    "odd-parity": lambda n: verify_odd_parity(n),
     "sandwich": lambda n: verify_sandwich(n),
     "theorem2": lambda n: verify_direction_total(n),
     "circular-shift": lambda n: verify_circular(n),

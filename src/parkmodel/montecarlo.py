@@ -193,13 +193,16 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
 
 
 def _row_multipliers(width: int) -> np.ndarray:
-    """width fixed odd uint64 multipliers: splitmix64 of 1..width, low bit set.
+    """width fixed odd uint64 multipliers: splitmix64 of 1, 3, 5, ..., low bit set.
 
-    Plain uint64 arithmetic, wrapping mod 2^64, so no random module loads.
+    Odd inputs only: with x and 2x both inputs, m(2x) - 2m(x) repeats
+    across x, and relations 2(m_i + m_j) = m_k + m_l follow that make unequal
+    rows share a key. Plain uint64 arithmetic, wrapping mod 2^64, so no
+    random module loads.
     """
     import numpy as np
 
-    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = np.arange(1, 2 * width, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
     return z ^ z >> np.uint64(31) | np.uint64(1)

@@ -29,6 +29,11 @@ def _cases() -> dict[str, list[str]]:
             cases[f"verify-odd-census-n{n}-{fmt}"] = [
                 "verify", "--check", "odd-census", "--n", str(n), "--format", fmt,
             ]
+    for n in (2, 5, 9, 40):
+        for fmt in ("text", "json", "csv"):
+            cases[f"verify-odd-parity-n{n}-{fmt}"] = [
+                "verify", "--check", "odd-parity", "--n", str(n), "--format", fmt,
+            ]
     for k, semantics in ((1, "jump"), (2, "jump"), (2, "firstfit")):
         for n in range(1, 8):
             cases[f"census-n{n}-k{k}-{semantics}-json"] = [
@@ -165,6 +170,7 @@ def _cases() -> dict[str, list[str]]:
         "table-n0-exit1": ["table", "--n-max", "0"],
         "verify-theorem2-n8-exit1": ["verify", "--check", "theorem2", "--n", "8"],
         "verify-odd-census-n1-exit1": ["verify", "--check", "odd-census", "--n", "1"],
+        "verify-odd-parity-n101-exit1": ["verify", "--check", "odd-parity", "--n", "101"],
         "mc-p-above-one-exit1": ["mc", "--n", "3", "--model", "naples", "--p", "3/2"],
         "construct-t-out-of-range-exit1": ["construct", "--n", "3", "--t", "9"],
         # A decimal past the float range is a domain error, not a traceback.

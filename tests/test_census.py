@@ -40,11 +40,12 @@ from parkmodel import (
     verify_direction_total,
     verify_monotonicity,
     verify_odd_census,
+    verify_odd_parity,
     verify_sandwich,
 )
 from parkmodel.census import _census_rows, _transfer_matrices
 from parkmodel.cli import main
-from parkmodel.core import _line_moves, _rule
+from parkmodel.core import _line_moves, _park, _rule
 from parkmodel.exact import (
     _POLY_FACTORS,
     _kronecker_point,
@@ -151,12 +152,11 @@ class TestFullCensus:
 
     def test_census_never_loads_numpy_random(self):
         """The census hashes rows with fixed multipliers, so a fresh
-        interpreter running both DP callers never imports numpy.random."""
+        interpreter running it never imports numpy.random."""
         child = (
             "import sys\n"
-            "from parkmodel import full_census, verify_odd_census\n"
+            "from parkmodel import full_census\n"
             "full_census(7)\n"
-            "verify_odd_census(7)\n"
             "print('numpy.random' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
@@ -345,6 +345,26 @@ class TestDistinctRows:
         assert (mult & np.uint64(1)).all()
         assert len(set(mult.tolist())) == 126
         assert np.array_equal(_row_multipliers(7), mult[:7])
+
+    def test_multipliers_hold_no_doubling_relation(self):
+        # No 2^s (m_i + m_j) = m_k + m_l mod 2^64, s = 0..3, among the first
+        # 462: at s = 0 the pair sums are distinct.
+        mult = _row_multipliers(462)
+        i, j = np.triu_indices(len(mult))
+        sums = mult[i] + mult[j]
+        assert len(np.unique(sums)) == len(sums)
+        for s in (1, 2, 3):
+            assert len(np.intersect1d(sums << np.uint64(s), sums)) == 0
+
+    def test_a_doubling_row_pair_merges_into_two_groups(self):
+        # Splitmix64 of 1..104 gave 2(m_45 + m_51) = m_91 + m_103 mod 2^59,
+        # so these two rows shared a key and the merge raised.
+        rows = np.zeros((2, 104), dtype=np.uint32)
+        rows[0, [45, 51]] = 64
+        rows[1, [91, 103]] = 32
+        first, inverse = _distinct_rows(rows, _row_multipliers(104))
+        assert len(first) == 2
+        assert sorted(inverse.tolist()) == [0, 1]
 
     def test_a_key_collision_raises(self):
         states = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32).view(np.uint32)
@@ -559,6 +579,69 @@ class TestDyadicInverse:
             tuple_for_numerator(3, 5)
 
 
+class TestParityCensus:
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize(
+        "rule",
+        [("naples", 1, JUMP), ("naples", 2, JUMP), ("naples", 2, FIRSTFIT),
+         ("direction", 0, JUMP)],
+    )
+    def test_tally_matches_the_float32_census(self, n, rule):
+        # Odd total off the histogram; each staircase's count off its row.
+        rule = _rule(*rule)
+        steps, counts, weights = _census_rows(n, rule)
+        odd_total = int(weights[counts & 1 == 1].sum())
+        stairs = [counts[_walk(steps, n, s.expand())] for s in iter_staircase_shapes(n)]
+        odd_stairs = sum(int(g) & 1 for g in stairs)
+        assert census._parity_census(n, rule) == (
+            odd_stairs, len(stairs) - odd_stairs, odd_total - odd_stairs
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tally_matches_the_oracle(self, n):
+        tally = [0, 0, 0]
+        for t in all_tuples(n):
+            g = naive_choice_count(t, 1, False)
+            if is_staircase(t):
+                tally[0 if g & 1 else 1] += 1
+            elif g & 1:
+                tally[2] += 1
+        assert census._parity_census(n, _rule("naples", 1, JUMP)) == tuple(tally)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_staircase_walk_counts_every_staircase(self, n):
+        walked = list(census._staircase_counts(n))
+        assert len(walked) == 1 << (n - 2)
+        assert {alpha for alpha, _ in walked} == {
+            s.expand() for s in iter_staircase_shapes(n)
+        }
+        for alpha, g in walked:
+            assert g == parking_choice_count(alpha)
+
+    @pytest.mark.parametrize(
+        "n", [*range(2, 13), 30, pytest.param(100, marks=pytest.mark.slow)]
+    )
+    def test_odd_parity_passes_to_its_cap(self, n):
+        report = verify_odd_parity(n)
+        assert report.passed
+        assert report.name == "odd-parity" and report.findings is None
+        assert [c.detail for c in report.checks[:2]] == [
+            f"{n}^{n} tuples swept, 0 violations",
+            f"found {1 << (n - 2)}, expected {1 << (n - 2)}",
+        ]
+        drawn = f"all {1 << (n - 2)}" if n <= 8 else "64 staircases drawn at seed 2021"
+        assert report.checks[2].detail.startswith(drawn)
+
+    @pytest.mark.parametrize("n", [5, 20])
+    @pytest.mark.parametrize("count", ["staircase_choice_count", "parking_choice_count"])
+    def test_odd_parity_catches_a_wrong_count(self, monkeypatch, n, count):
+        monkeypatch.setattr(census, count, lambda alpha: 0)
+        report = verify_odd_parity(n)
+        assert [c.passed for c in report.checks] == [True, True, False]
+        drawn = min(1 << (n - 2), 64)
+        assert report.checks[2].detail.endswith(f", {drawn} mismatching")
+
+
 class TestVerifiers:
     def test_odd_census_small(self):
         report = verify_odd_census(5)
@@ -586,34 +669,54 @@ class TestVerifiers:
         for g, alpha in report.findings.items():
             assert alpha == tuple_for_odd_numerator(9, (g + 1) // 2)
 
+    def test_odd_census_sixteen_cars(self):
+        report = verify_odd_census(16)
+        assert report.passed
+        assert report.checks[0].detail == f"{16**16} tuples swept, 0 violations"
+        assert list(report.findings) == list(range(1, 1 << 15, 2))
+        for g, alpha in report.findings.items():
+            assert alpha == census._staircase_for_odd(16, (g + 1) // 2)
+
     @pytest.mark.parametrize("holds_staircase", [False, True])
     def test_odd_census_catches_a_planted_odd_count(self, monkeypatch, holds_staircase):
-        # Flipping one final row's parity flips the count of every tuple whose
-        # walk ends there: the heaviest row that holds no staircase turns all
-        # its tuples odd, and a staircase's row (weight 1) turns it even.
+        # A car blocked at spot a of the lot occ loses one landing: with
+        # spots 1..4 taken and a = 3 the backward one, which turns 4 other
+        # tuples odd; with spot 2 taken and a = 2 the forward one, which
+        # turns the staircase (2, 2, 2, 2, 2) even. Both verifiers must
+        # count every flip that a brute force over core._park counts.
         n = 5
-        rows = census._census_rows
-        steps, _, weights = rows(n, _rule("naples", 1, JUMP))
-        stairs = {_walk(steps, n, s.expand()) for s in iter_staircase_shapes(n)}
-        if holds_staircase:
-            row = min(stairs)
-        else:
-            row = max(set(range(len(weights))) - stairs, key=lambda r: weights[r])
-            assert weights[row] > 1
+        occ0, a0, lost = (0b10, 2, 0) if holds_staircase else (0b1111, 3, 1)
+        line_moves = census._line_moves
 
         def planted(n, rule):
-            steps, counts, weights = rows(n, rule)
-            counts = counts.copy()
-            counts[row] ^= 1
-            return steps, counts, weights
+            moves = line_moves(n, rule)
 
-        monkeypatch.setattr(census, "_census_rows", planted)
-        report = verify_odd_census(n)
-        parity = report.checks[0]
-        assert parity.label == "odd count iff staircase"
-        assert not parity.passed
-        assert parity.detail == f"3125 tuples swept, {int(weights[row])} violations"
-        assert not report.passed
+            def patched(occ, a):
+                spots = moves(occ, a)
+                if (occ, a) == (occ0, a0):
+                    spots = spots[:lost] + (0,) + spots[lost + 1 :]
+                return spots
+
+            return patched
+
+        moves = planted(n, _rule("naples", 1, JUMP))
+        even_stairs = odd_others = 0
+        for t in all_tuples(n):
+            g = sum(len(_park(t, beta, moves)) == n for beta in range(1 << (n - 1)))
+            if is_staircase(t):
+                even_stairs += not g & 1
+            else:
+                odd_others += g & 1
+        assert bool(even_stairs) == holds_staircase != bool(odd_others)
+        monkeypatch.setattr(census, "_line_moves", planted)
+        violations = even_stairs + odd_others
+        for verifier, swept in ((verify_odd_census, 3125), (verify_odd_parity, "5^5")):
+            report = verifier(n)
+            parity = report.checks[0]
+            assert parity.label == "odd count iff staircase"
+            assert not parity.passed
+            assert parity.detail == f"{swept} tuples swept, {violations} violations"
+            assert not report.passed
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_staircase_shapes_expand_to_every_staircase(self, n):
@@ -741,7 +844,11 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_odd_census(1)
         with pytest.raises(ValueError):
-            verify_odd_census(10)
+            verify_odd_census(17)
+        with pytest.raises(ValueError):
+            verify_odd_parity(1)
+        with pytest.raises(ValueError):
+            verify_odd_parity(101)
         with pytest.raises(ValueError):
             verify_sandwich(0)
         with pytest.raises(ValueError):
@@ -757,6 +864,8 @@ class TestVerifiers:
     def test_odd_census_rejects_a_non_int_car_count(self, n):
         with pytest.raises(ValueError, match="must be an integer"):
             verify_odd_census(n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify_odd_parity(n)
 
     def test_semantics_sweep_rejects_a_non_int_car_count(self, monkeypatch):
         def no_sweep(*args):

@@ -105,6 +105,25 @@ class TestEmptySpotDistribution:
         with pytest.raises(ValueError):
             empty_spot_distribution((1, 1)).prob_for_spot(4)
 
+    def test_entries_outside_the_unit_interval_are_rejected(self):
+        # Both sum to 1: 2 + (-1) everywhere, and 2p + (1 - 2p).
+        with pytest.raises(ValueError, match="leaves \\[0, 1\\]"):
+            EmptySpotDistribution(1, (Poly((2,)), Poly((-1,))))
+        with pytest.raises(ValueError, match="leaves \\[0, 1\\]"):
+            EmptySpotDistribution(1, (Poly((0, 2)), Poly((1, -2))))
+
+    @pytest.mark.parametrize("n", [True, 1.0, 0])
+    def test_car_count_must_be_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="car count n"):
+            EmptySpotDistribution(n, (Poly.one(), Poly.zero()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_computed_distribution_constructs(self, n):
+        for prefs in product(range(1, n + 2), repeat=n):
+            dist = empty_spot_distribution(prefs)
+            assert EmptySpotDistribution(n, dist.probs) == dist
+            assert dist.rotated().probs == (*dist.probs[-1:], *dist.probs[:-1])
+
     @pytest.mark.parametrize("spot", [True, 1.0, "1"])
     def test_non_integer_spot_is_rejected(self, spot):
         dist = empty_spot_distribution((1, 1))

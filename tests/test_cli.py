@@ -274,6 +274,7 @@ class TestVerify:
             ("sandwich", "6"),
             ("monotonicity", "3"),
             ("odd-census", "4"),
+            ("odd-parity", "6"),
             ("theorem2", "3"),
             ("circular-shift", "2"),
         ],
@@ -321,7 +322,7 @@ class TestVerify:
 
     def test_out_of_range_n_exits_one(self, runner):
         result = runner.invoke(
-            main, ["verify", "--check", "odd-census", "--n", "12"]
+            main, ["verify", "--check", "odd-census", "--n", "17"]
         )
         assert result.exit_code == 1
 
@@ -599,12 +600,15 @@ print(json.dumps(seen))
 
 def test_numpy_loads_only_for_array_subcommands(runner):
     """Importing the CLI loads neither numpy nor multiprocessing; the exact
-    subcommands never load numpy, and the array subcommands print the same
+    subcommands, the odd-count checks among them, never load numpy, and the
+    array subcommands print the same
     bytes in an interpreter that loads numpy on first use."""
     exact = [
         ["prob", "--alpha", "2,2,2", "--model", "naples"],
         ["construct", "--n", "22", "--t", "1048575"],
         ["verify", "--check", "theorem2", "--n", "5"],
+        ["verify", "--check", "odd-census", "--n", "7"],
+        ["verify", "--check", "odd-parity", "--n", "20"],
     ]
     arrays = [
         ["census", "--n", "4", "--format", "json"],
