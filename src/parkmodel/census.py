@@ -31,8 +31,9 @@ below, which need no array, start without paying for it.
 The odd-count verifiers need only parity, and run the exact step
 (exact._park_car) instead: modulo 2 a car whose spot is free doubles its
 state's weight and so kills it, which leaves at most n merged prefixes
-per layer at k = 1 (_parity_census), and a depth-first walk counts every
-staircase exactly (_staircase_counts).
+per layer at k = 1 (_parity_census). verify_odd_census counts every
+staircase exactly by exact._park_each, the package's one depth-first
+walk, fed the letters a staircase prefix allows (_stair_letters).
 
 Also here: the staircase closed form and its inverses (the constructions
 behind the odd-numerator uniqueness and dyadic surjectivity results), and
@@ -60,7 +61,13 @@ from .core import (
     _line_moves,
     _rule,
 )
-from .exact import _kronecker_point, _park_car, _point_weight, parking_choice_count
+from .exact import (
+    _kronecker_point,
+    _park_car,
+    _park_each,
+    _point_weight,
+    parking_choice_count,
+)
 from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 from .recursions import expected_random_naples, naples_count, parking_count
 
@@ -101,12 +108,30 @@ class DistributionTable:
 
     counts[a] is the number of preference tuples whose probability of
     parking at p = 1/2 is a / 2^(n-1); the tuple has length 2^(n-1) + 1.
+    n and k must be ints >= 1, semantics a NaplesSemantics member or its
+    value (stored as the member), and counts exactly 2^(n-1) + 1 ints >= 0
+    (stored as a tuple); anything else raises ValueError.
     """
 
     n: int
     k: int
     semantics: NaplesSemantics
     counts: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_int(self.n, "car count n", 1)
+        _check_int(self.k, "backward allowance k", 1)
+        object.__setattr__(self, "semantics", NaplesSemantics(self.semantics))
+        counts = tuple(self.counts)
+        # The bit length first, so a huge n builds no huge 2^(n-1).
+        width = len(counts) - 1
+        if width.bit_length() != self.n or width != self.denominator:
+            raise ValueError(
+                f"need 2^{self.n - 1} + 1 counts for {self.n} cars, got {len(counts)}"
+            )
+        for a, c in enumerate(counts):
+            _check_int(c, f"count of numerator {a}", 0)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def denominator(self) -> int:
@@ -240,7 +265,7 @@ def full_census(
 
     _, counts, weights = _census_rows(n, rule)
     hist = np.bincount(counts, weights, (1 << (n - 1)) + 1).astype(np.int64)
-    table = DistributionTable(n, k, NaplesSemantics(semantics), tuple(hist.tolist()))
+    table = DistributionTable(n, k, semantics, hist.tolist())
 
     if table.total() != n**n:
         raise RuntimeError(f"census total is not {n}^{n}")
@@ -491,24 +516,6 @@ def _parity_census(n: int, rule: tuple) -> tuple[int, int, int]:
     return odd_stairs, even_stairs, others
 
 
-def _staircase_counts(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (staircase, choice count) for every n-car staircase, depth first.
-
-    Each count is the point carry at p = 1/2 (steps (2, 1, 1)) under the
-    k = 1 Naples rule, advanced by exact._park_car one letter at a time, so
-    a prefix that several staircases share is parked once.
-    """
-    moves = _line_moves(n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS))
-    stack = [((a,), {1 << (a - 1): 1}) for a in reversed(_stair_letters(n, 0, 0))]
-    while stack:
-        prefix, states = stack.pop()
-        if len(prefix) == n:
-            yield prefix, sum(states.values())
-            continue
-        for a in reversed(_stair_letters(n, len(prefix), prefix[-1])):
-            stack.append((prefix + (a,), _park_car(states, (a,), moves, (2, 1, 1))))
-
-
 def _parity_rows(n: int, swept: str) -> tuple[CheckResult, CheckResult, int]:
     """The k = 1 parity census's two rows, and its count of other odd tuples.
 
@@ -547,14 +554,19 @@ def verify_odd_census(n: int) -> VerificationReport:
     unique tuple.
 
     The parity and staircase rows come from the parity census
-    (_parity_rows), the others from every staircase's exact count
-    (_staircase_counts); no array is built. The census counts the other
+    (_parity_rows), the others from every staircase's exact count, the
+    point carry at p = 1/2 along exact._park_each fed the staircase
+    letters (_stair_letters); no array is built. The census counts the other
     tuples with an odd count but not their counts, so on a failure the "odd
     numerators" detail and the findings count staircase numerators only.
     """
     _check_sweep(n, "exhaustive odd-count", ODD_CENSUS_MAX_N, 2)
     parity, staircases, others = _parity_rows(n, str(n**n))
-    stairs = dict(_staircase_counts(n))
+    moves = _line_moves(n, _rule(RandomModel.NAPLES, 1, DEFAULT_SEMANTICS))
+    walk = _park_each(
+        n, lambda s: _stair_letters(n, len(s), s[-1] if s else 0), moves, 1, (2, 1, 1)
+    )
+    stairs = {alpha: sum(states.values()) for alpha, states in walk}
     hits = Counter(stairs.values())
     odd = [g for g in hits if g & 1]
     expected = 1 << (n - 2)

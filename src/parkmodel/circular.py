@@ -176,7 +176,7 @@ def verify_circular(n: int) -> VerificationReport:
     dists: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for prefs, states in _park_each(
-        [range(1, ring + 1)] * n, _ring_moves(ring), 1, steps
+        n, lambda _: range(1, ring + 1), _ring_moves(ring), 1, steps
     ):
         dist = dists[prefs] = _distribution(n, states, 0)
         # Over the reachable masks only: at most n + 1 terms, usually fewer.
@@ -190,7 +190,7 @@ def verify_circular(n: int) -> VerificationReport:
             shift_bad += 1
 
     line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
-    for prefs, states in _park_each([range(1, n + 1)] * n, line, 1, steps):
+    for prefs, states in _park_each(n, lambda _: range(1, n + 1), line, 1, steps):
         if dists[prefs][ring - 1] != sum(states.values()):
             disagree += 1
     agree = n**n - disagree

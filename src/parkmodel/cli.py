@@ -12,6 +12,7 @@ failure, 2 malformed flags.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -118,22 +119,43 @@ def _echo(text: str, nl: bool = True) -> None:
     click.echo(text, file=sys.stdout, nl=nl)
 
 
+@contextlib.contextmanager
+def _all_int_digits():
+    """Lift the interpreter's limit on the digits str(int) prints, then restore it.
+
+    The limit guards parsing of untrusted input, so the flag types keep it;
+    the ints _emit prints are the program's own, such as construct's
+    denominator 2^(n-1), over 4,300 digits from n = 14,286 on. Interpreters
+    without the limit are left alone.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(fmt: str, meta: dict, header: list, rows: list, text_lines: list,
           json_rows: list | None = None, **extra) -> None:
     """Print rows in fmt; JSON prints json_rows when given, then the extra keys."""
-    if fmt == "json":
-        payload = {"meta": meta, "rows": rows if json_rows is None else json_rows}
-        _echo(json.dumps({**payload, **extra}, indent=2))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[col] for col in header])
-        _echo(buf.getvalue(), nl=False)
-    else:
-        for line in text_lines:
-            _echo(line)
+    with _all_int_digits():
+        if fmt == "json":
+            payload = {"meta": meta, "rows": rows if json_rows is None else json_rows}
+            _echo(json.dumps({**payload, **extra}, indent=2))
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([row[col] for col in header])
+            _echo(buf.getvalue(), nl=False)
+        else:
+            for line in text_lines:
+                _echo(line)
 
 
 def _meta(seed=None, **parameters) -> dict:

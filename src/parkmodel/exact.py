@@ -20,8 +20,9 @@ Letting a car prefer every spot at once gives the sum over all n^n tuples
 in the same one walk.  At p = 2^B (_kronecker_point) the weight stands for
 the polynomial itself, so the verifiers compare ints and build no Poly; a
 Poly is carried only where one is returned (prob_of_model,
-circular.empty_spot_distribution).  Per-tuple sweeps share each prefix's
-walk through _park_each.
+circular.empty_spot_distribution).  Every per-tuple sweep is the one
+depth-first walk _park_each, which takes each car's letters from the
+prefix before it and advances each shared prefix once.
 
 The coin is oriented per model: under the random-direction rule p is the
 probability of the forward branch (bit 1), under the random Naples rule p is
@@ -229,18 +230,20 @@ def _park_all(cars, moves, one, steps) -> dict:
     return states
 
 
-def _park_each(cars, moves, one, steps):
-    """Yield (tuple, states) for every tuple cars spans, in product(*cars) order.
+def _park_each(n, letters, moves, one, steps):
+    """Yield (tuple, states) for every n-car tuple letters spans, depth first.
 
-    Depth first, so each prefix's states are advanced once, by _park_car.
+    letters(prefix) lists the spots the next car may prefer (car 1's:
+    letters(())); tuples come in the order it lists them, and each prefix's
+    states are advanced once, by _park_car.
     """
-    stack = [((a,), {1 << (a - 1): one}) for a in reversed(cars[0])]
+    stack = [((a,), {1 << (a - 1): one}) for a in reversed(letters(()))]
     while stack:
         prefix, states = stack.pop()
-        if len(prefix) == len(cars):
+        if len(prefix) == n:
             yield prefix, states
             continue
-        for a in reversed(cars[len(prefix)]):
+        for a in reversed(letters(prefix)):
             stack.append((prefix + (a,), _park_car(states, (a,), moves, steps)))
 
 

@@ -19,6 +19,7 @@ import parkmodel
 import parkmodel.census as census
 from parkmodel import (
     NaplesSemantics,
+    DistributionTable,
     Poly,
     RandomModel,
     StaircaseShape,
@@ -126,7 +127,9 @@ class TestFullCensus:
         # The dict-per-mask point carry of exact.py shares no census code; at
         # factors (2, 1, 1) its states sum to the tuple's choice count.
         rule = _rule("naples", k, semantics)
-        every = _park_each([range(1, n + 1)] * n, _line_moves(n, rule), 1, (2, 1, 1))
+        every = _park_each(
+            n, lambda _: range(1, n + 1), _line_moves(n, rule), 1, (2, 1, 1)
+        )
         expected = [sum(states.values()) for _, states in every]
         assert _every_count(n, rule).tolist() == expected
         table = full_census(n, k, semantics)
@@ -144,6 +147,34 @@ class TestFullCensus:
     def test_count_for_rejects_numerators_outside_the_table(self, numerator):
         with pytest.raises(ValueError):
             full_census(3).count_for(numerator)
+
+    @pytest.mark.parametrize(
+        "n, k, semantics, counts",
+        [
+            (3, 1, "jump", (1, 2)),
+            (3, 1, "jump", (0, 0, 0, 0, 0, 27)),
+            (3, 1, "bogus", (-5, 2.5, 0, 0, 0)),
+            (3, 1, "bogus", (0, 0, 0, 0, 27)),
+            (3, 1, "jump", (-5, 2, 0, 0, 30)),
+            (3, 1, "jump", (0, 2.5, 0, 0, 24.5)),
+            (3, 1, "jump", (True, 0, 0, 0, 26)),
+            (0, 1, "jump", ()),
+            (True, 1, "jump", (0, 1)),
+            (3, 0, "jump", (0, 0, 0, 0, 27)),
+            (3, 1.0, "jump", (0, 0, 0, 0, 27)),
+            (10**12, 1, "jump", (0, 1)),
+        ],
+    )
+    def test_table_rejects_malformed_input(self, n, k, semantics, counts):
+        with pytest.raises(ValueError):
+            DistributionTable(n, k, semantics, counts)
+
+    def test_table_stores_the_member_and_a_count_tuple(self):
+        table = DistributionTable(2, 1, "firstfit", [0, 1, 3])
+        assert table.semantics is FIRSTFIT
+        assert table.counts == (0, 1, 3)
+        assert table == DistributionTable(2, 1, FIRSTFIT, (0, 1, 3))
+        assert table == full_census(2, semantics=FIRSTFIT)
 
     @pytest.mark.parametrize("keyword", ["threads", "allow_large"])
     def test_removed_keywords_are_refused(self, keyword):
@@ -610,7 +641,18 @@ class TestParityCensus:
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_staircase_walk_counts_every_staircase(self, n):
-        walked = list(census._staircase_counts(n))
+        # The walk verify_odd_census runs: staircase letters, steps (2, 1, 1).
+        moves = _line_moves(n, _rule("naples", 1, JUMP))
+        walked = [
+            (alpha, sum(states.values()))
+            for alpha, states in _park_each(
+                n,
+                lambda s: census._stair_letters(n, len(s), s[-1] if s else 0),
+                moves,
+                1,
+                (2, 1, 1),
+            )
+        ]
         assert len(walked) == 1 << (n - 2)
         assert {alpha for alpha, _ in walked} == {
             s.expand() for s in iter_staircase_shapes(n)

@@ -217,7 +217,11 @@ class TestVerifier:
     def test_swept_distributions_match_the_hypercube_sum(self, n):
         ring = n + 1
         sweep = _park_each(
-            [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+            n,
+            lambda _: range(1, ring + 1),
+            _ring_moves(ring),
+            Poly.one(),
+            _POLY_FACTORS,
         )
         for prefs, states in sweep:
             dist = _distribution(n, states, Poly.zero())
@@ -305,8 +309,10 @@ def _ring_and_line_sweeps(n, one, steps):
     """The two sweeps verify_circular runs, carrying one and steps."""
     ring = n + 1
     line = _line_moves(n, _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS))
-    yield from _park_each([range(1, ring + 1)] * n, _ring_moves(ring), one, steps)
-    yield from _park_each([range(1, n + 1)] * n, line, one, steps)
+    yield from _park_each(
+        n, lambda _: range(1, ring + 1), _ring_moves(ring), one, steps
+    )
+    yield from _park_each(n, lambda _: range(1, n + 1), line, one, steps)
 
 
 class TestRingPointCarry:
@@ -333,7 +339,11 @@ class TestRingPointCarry:
         dists = [
             _distribution(n, states, Poly.zero())
             for _, states in _park_each(
-                [range(1, ring + 1)] * n, _ring_moves(ring), Poly.one(), _POLY_FACTORS
+                n,
+                lambda _: range(1, ring + 1),
+                _ring_moves(ring),
+                Poly.one(),
+                _POLY_FACTORS,
             )
         ]
         column_sums = [sum(col, Poly.zero()) for col in zip(*dists)]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -535,6 +536,33 @@ class TestConstruct:
         even = runner.invoke(main, ["construct", "--n", n, "--a", 1 << 998])
         assert even.exit_code == 0
         assert even.output == ",".join(map(str, [*range(1, 999), n, n])) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_denominator_past_the_int_digit_limit(self, runner, fmt):
+        # 2^14285 has 4,301 digits, one past the interpreter's default limit
+        # on str(int); Decimal reads them back without that limit.
+        limit = sys.get_int_max_str_digits()
+        result = runner.invoke(
+            main, ["construct", "--n", "14286", "--t", "1", "--format", fmt]
+        )
+        assert result.exit_code == 0, result.output
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "json":
+            row = json.loads(result.output, parse_int=str)["rows"][0]
+            numerator, denominator = row["numerator"], row["denominator"]
+        else:
+            numerator, denominator = result.output.splitlines()[1].split(",")[-2:]
+        assert numerator == "1"
+        assert len(denominator) == 4301
+        assert int(Decimal(denominator)) == 1 << 14285
+
+    def test_flags_keep_the_int_digit_limit(self, runner):
+        p = "1/" + "7" * 4301
+        result = runner.invoke(
+            main, ["prob", "--alpha", "1", "--model", "naples", "--p", p]
+        )
+        assert result.exit_code == 2
+        assert "Exceeds the limit" in result.output
 
     def test_domain_errors_exit_one(self, runner):
         assert (

@@ -312,6 +312,33 @@ def test_invariant_checks_survive_optimized_mode():
         assert not asserts, f"{path.name} has assert statements at lines {asserts}"
 
 
+def test_the_exact_step_runs_only_in_its_walks():
+    """exact._park_car is called only by _park_all, by _park_each (the one
+    depth-first per-tuple walk) and by census._parity_census, whose merged
+    prefixes are no walk: a second walk beside them would be a copy.
+    """
+    callers = set()
+    for path in sorted(Path(parkmodel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk goes outer scopes first, so inner defs overwrite: innermost.
+        scope = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                for node in ast.walk(func):
+                    scope[node] = getattr(func, "name", "<lambda>")
+        callers |= {
+            (path.name, scope.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "_park_car" in (getattr(node.func, k, None) for k in ("id", "attr"))
+        }
+    assert callers == {
+        ("exact.py", "_park_all"),
+        ("exact.py", "_park_each"),
+        ("census.py", "_parity_census"),
+    }
+
+
 def test_rows_merge_only_through_the_checked_merge():
     """Equal rows merge only in montecarlo._distinct_rows, which checks its keys.
 

@@ -17,12 +17,15 @@ from parkmodel import (
     parking_choice_count,
     parks_under_choices,
     StaircaseShape,
+    is_staircase,
+    iter_staircase_shapes,
     prob_of_model,
     prob_of_model_at,
     prob_random_direction,
     prob_random_naples,
     staircase_choice_count,
 )
+from parkmodel.census import _stair_letters
 from parkmodel.circular import _ring_moves
 from parkmodel.core import _line_moves, _rule
 from parkmodel.exact import (
@@ -269,7 +272,9 @@ class TestParkEach:
     @staticmethod
     def _assert_each_matches_park_all(cars, moves, one, steps):
         seen = []
-        for prefs, states in _park_each(cars, moves, one, steps):
+        for prefs, states in _park_each(
+            len(cars), lambda s: cars[len(s)], moves, one, steps
+        ):
             seen.append(prefs)
             assert states == _park_all([(a,) for a in prefs], moves, one, steps)
         assert seen == list(product(*cars))
@@ -291,9 +296,34 @@ class TestParkEach:
         every = [range(1, n + 1)] * n
         self._assert_each_matches_park_all(every, moves, Poly.one(), steps)
         self._assert_each_matches_park_all(every, moves, 1, (3, 1, 2))
-        for prefs, states in _park_each(every, moves, Poly.one(), steps):
+        for prefs, states in _park_each(
+            n, lambda s: every[len(s)], moves, Poly.one(), steps
+        ):
             want = prob_of_model(prefs, model, k, semantics)
             assert sum(states.values(), Poly.zero()) == want
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_letters_that_depend_on_the_prefix(self, n):
+        # Staircase letters: the next car's spots follow the prefix's last one.
+        moves = _line_moves(n, _rule("naples", 1, JUMP))
+
+        def letters(prefix):
+            return _stair_letters(n, len(prefix), prefix[-1] if prefix else 0)
+
+        by_poly = _park_each(n, letters, moves, Poly.one(), _POLY_FACTORS)
+        by_int = _park_each(n, letters, moves, 1, (2, 1, 1))
+        seen = []
+        for (prefs, poly_states), (int_prefs, int_states) in zip(
+            by_poly, by_int, strict=True
+        ):
+            assert int_prefs == prefs and is_staircase(prefs)
+            cars = [(a,) for a in prefs]
+            assert poly_states == _park_all(cars, moves, Poly.one(), _POLY_FACTORS)
+            assert int_states == _park_all(cars, moves, 1, (2, 1, 1))
+            assert sum(int_states.values()) == parking_choice_count(prefs)
+            seen.append(prefs)
+        assert sorted(seen) == sorted(s.expand() for s in iter_staircase_shapes(n))
+        assert len(set(seen)) == len(seen) == 1 << (n - 2)
 
     def test_uneven_letter_sets(self):
         cars = [(1, 3), (2,), (3, 1, 2), (4, 2)]
@@ -301,7 +331,9 @@ class TestParkEach:
         moves = _line_moves(4, rule)
         self._assert_each_matches_park_all(cars, moves, Poly.one(), _POLY_FACTORS)
         total = Poly.zero()
-        for _, states in _park_each(cars, moves, Poly.one(), _POLY_FACTORS):
+        for _, states in _park_each(
+            4, lambda s: cars[len(s)], moves, Poly.one(), _POLY_FACTORS
+        ):
             total = total + sum(states.values(), Poly.zero())
         assert total == _success_sum(cars, rule, Poly.one(), _POLY_FACTORS)
 
