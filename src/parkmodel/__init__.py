@@ -8,103 +8,73 @@ probability p before searching forward. Everything observable at desk scale
 is computed exactly: per-tuple probabilities are integer-coefficient
 polynomials in p, expected counts are Fractions, and the exhaustive census
 machinery cross-checks the counting recursions tuple by tuple.
+
+Each export is loaded from its defining module on first use (PEP 562), so
+`import parkmodel` compiles no submodule and a command pays only for the
+modules it calls. `parkmodel.X` and `from parkmodel import X` return the
+defining module's object.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .census import (
-    CheckResult,
-    DistributionTable,
-    StaircaseShape,
-    VerificationReport,
-    compare_naples_semantics,
-    full_census,
-    is_staircase,
-    iter_staircase_shapes,
-    shape_of,
-    staircase_choice_count,
-    tuple_for_numerator,
-    tuple_for_odd_numerator,
-    verify_direction_total,
-    verify_monotonicity,
-    verify_odd_census,
-    verify_odd_parity,
-    verify_sandwich,
-)
-from .circular import (
-    EmptySpotDistribution,
-    circular_park,
-    empty_spot_distribution,
-    shift_preferences,
-    verify_circular,
-)
-from .core import (
-    NaplesSemantics,
-    ParkingResult,
-    RandomModel,
-    park_forward,
-    park_naples_det,
-    park_with_choices,
-    parks_under_choices,
-)
-from .exact import (
-    Poly,
-    parking_choice_count,
-    prob_of_model,
-    prob_of_model_at,
-    prob_random_direction,
-    prob_random_naples,
-)
-from .montecarlo import McEstimate, estimate_expected_total, estimate_prob
-from .recursions import (
-    expected_random_direction,
-    expected_random_naples,
-    naples_count,
-    parking_count,
-)
+# Every public name and the submodule that defines it.
+_EXPORTS = {
+    "CheckResult": "census",
+    "DistributionTable": "census",
+    "EmptySpotDistribution": "circular",
+    "McEstimate": "montecarlo",
+    "NaplesSemantics": "core",
+    "ParkingResult": "core",
+    "Poly": "exact",
+    "RandomModel": "core",
+    "StaircaseShape": "census",
+    "VerificationReport": "census",
+    "circular_park": "circular",
+    "compare_naples_semantics": "census",
+    "empty_spot_distribution": "circular",
+    "estimate_expected_total": "montecarlo",
+    "estimate_prob": "montecarlo",
+    "expected_random_direction": "recursions",
+    "expected_random_naples": "recursions",
+    "full_census": "census",
+    "is_staircase": "census",
+    "iter_staircase_shapes": "census",
+    "naples_count": "recursions",
+    "park_forward": "core",
+    "park_naples_det": "core",
+    "park_with_choices": "core",
+    "parking_choice_count": "exact",
+    "parking_count": "recursions",
+    "parks_under_choices": "core",
+    "prob_of_model": "exact",
+    "prob_of_model_at": "exact",
+    "prob_random_direction": "exact",
+    "prob_random_naples": "exact",
+    "shape_of": "census",
+    "shift_preferences": "circular",
+    "staircase_choice_count": "census",
+    "tuple_for_numerator": "census",
+    "tuple_for_odd_numerator": "census",
+    "verify_circular": "circular",
+    "verify_direction_total": "census",
+    "verify_monotonicity": "census",
+    "verify_odd_census": "census",
+    "verify_odd_parity": "census",
+    "verify_sandwich": "census",
+}
 
-__all__ = [
-    "__version__",
-    "CheckResult",
-    "DistributionTable",
-    "EmptySpotDistribution",
-    "McEstimate",
-    "NaplesSemantics",
-    "ParkingResult",
-    "Poly",
-    "RandomModel",
-    "StaircaseShape",
-    "VerificationReport",
-    "circular_park",
-    "compare_naples_semantics",
-    "empty_spot_distribution",
-    "estimate_expected_total",
-    "estimate_prob",
-    "expected_random_direction",
-    "expected_random_naples",
-    "full_census",
-    "is_staircase",
-    "iter_staircase_shapes",
-    "naples_count",
-    "park_forward",
-    "park_naples_det",
-    "park_with_choices",
-    "parking_choice_count",
-    "parking_count",
-    "parks_under_choices",
-    "prob_of_model",
-    "prob_of_model_at",
-    "prob_random_direction",
-    "prob_random_naples",
-    "shape_of",
-    "shift_preferences",
-    "staircase_choice_count",
-    "tuple_for_numerator",
-    "tuple_for_odd_numerator",
-    "verify_circular",
-    "verify_direction_total",
-    "verify_monotonicity",
-    "verify_odd_census",
-    "verify_odd_parity",
-    "verify_sandwich",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -24,9 +24,10 @@ montecarlo._distinct_rows (the fixed-tuple automaton's merge too: a
 multiplicative hash of each row checked for exact equality), and each
 merge's inverse map is kept, so any single tuple's count is an O(n)
 walk. full_census bincounts that DP's final rows.
-numpy is imported inside the functions that build and multiply the
-matrices, not at module top, so the exact constructions and verifiers
-below, which need no array, start without paying for it.
+numpy, and the automaton and merge from the Monte Carlo module, are
+imported inside the functions that build and multiply the matrices, not at
+module top, so the exact constructions and verifiers below, which need no
+array, load neither.
 
 The odd-count verifiers need only parity, and run the exact step
 (exact._park_car) instead: modulo 2 a car whose spot is free doubles its
@@ -68,7 +69,6 @@ from .exact import (
     _point_weight,
     parking_choice_count,
 )
-from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 from .recursions import expected_random_naples, naples_count, parking_count
 
 if TYPE_CHECKING:
@@ -176,6 +176,8 @@ def _transfer_matrices(n: int, rule: tuple) -> list:
     """
     import numpy as np
 
+    from .montecarlo import _all_spot_automaton
+
     if n > FLOAT32_EXACT_MAX_N:
         raise ValueError(
             f"census products are exact in float32 only for n <= "
@@ -224,6 +226,8 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     _transfer_matrices refuses larger n.
     """
     import numpy as np
+
+    from .montecarlo import _distinct_rows, _row_multipliers
 
     mats = _transfer_matrices(n, rule)
     mult = _row_multipliers(max(len(mat) for mat in mats))
@@ -675,6 +679,8 @@ def _flip_counts(n: int, rule: tuple) -> tuple[int, int]:
     weigh the pairs whose backward run is dead.
     """
     import numpy as np
+
+    from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
 
     single = np.ones(1, dtype=np.int64)
     pairs, weights = np.zeros((0, 2), dtype=np.intp), single[:0]

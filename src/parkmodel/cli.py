@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import importlib
 import io
 import json
 import sys
@@ -24,21 +25,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .census import (
-    full_census,
-    tuple_for_numerator,
-    tuple_for_odd_numerator,
-    verify_direction_total,
-    verify_monotonicity,
-    verify_odd_census,
-    verify_odd_parity,
-    verify_sandwich,
-)
-from .circular import verify_circular
 from .core import DEFAULT_SEMANTICS, NaplesSemantics, RandomModel, _check_int
-from .exact import prob_of_model, prob_of_model_at
-from .montecarlo import estimate_expected_total, estimate_prob
-from .recursions import expected_random_naples, naples_count, parking_count
 
 
 class RationalType(click.ParamType):
@@ -84,13 +71,37 @@ class AlphaType(click.ParamType):
 RATIONAL = RationalType()
 ALPHA = AlphaType()
 
+
+@contextlib.contextmanager
+def _all_int_digits():
+    """Lift the interpreter's limit on the digits str(int) prints, then restore it.
+
+    The limit guards parsing of untrusted input, so the flag types, which
+    click runs before the command body, keep it; the ints a command formats
+    are the program's own, such as construct's denominator 2^(n-1), over
+    4,300 digits from n = 14,286 on. Interpreters without the limit are left
+    alone.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _domain_errors(f):
-    """Map library input errors to exit code 1, leaving flag errors at 2."""
+    """Run a command body with every int printable (_all_int_digits), and map
+    library input errors to exit code 1, leaving flag errors at 2."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
-            return f(*args, **kwargs)
+            with _all_int_digits():
+                return f(*args, **kwargs)
         except (ValueError, TypeError) as exc:
             raise click.ClickException(str(exc)) from exc
 
@@ -119,43 +130,22 @@ def _echo(text: str, nl: bool = True) -> None:
     click.echo(text, file=sys.stdout, nl=nl)
 
 
-@contextlib.contextmanager
-def _all_int_digits():
-    """Lift the interpreter's limit on the digits str(int) prints, then restore it.
-
-    The limit guards parsing of untrusted input, so the flag types keep it;
-    the ints _emit prints are the program's own, such as construct's
-    denominator 2^(n-1), over 4,300 digits from n = 14,286 on. Interpreters
-    without the limit are left alone.
-    """
-    if not hasattr(sys, "get_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _emit(fmt: str, meta: dict, header: list, rows: list, text_lines: list,
           json_rows: list | None = None, **extra) -> None:
     """Print rows in fmt; JSON prints json_rows when given, then the extra keys."""
-    with _all_int_digits():
-        if fmt == "json":
-            payload = {"meta": meta, "rows": rows if json_rows is None else json_rows}
-            _echo(json.dumps({**payload, **extra}, indent=2))
-        elif fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([row[col] for col in header])
-            _echo(buf.getvalue(), nl=False)
-        else:
-            for line in text_lines:
-                _echo(line)
+    if fmt == "json":
+        payload = {"meta": meta, "rows": rows if json_rows is None else json_rows}
+        _echo(json.dumps({**payload, **extra}, indent=2))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([row[col] for col in header])
+        _echo(buf.getvalue(), nl=False)
+    else:
+        for line in text_lines:
+            _echo(line)
 
 
 def _meta(seed=None, **parameters) -> dict:
@@ -201,6 +191,8 @@ def main():
 @_domain_errors
 def prob(alpha, model, k, semantics, p, fmt):
     """Exact parking probability of one tuple, as a polynomial or a rational."""
+    from .exact import prob_of_model, prob_of_model_at
+
     alpha_text = ",".join(str(a) for a in alpha)
     meta = _meta(alpha=list(alpha), model=model, k=k, semantics=semantics,
                  p=_frac(p) if p is not None else None)
@@ -238,6 +230,8 @@ def prob(alpha, model, k, semantics, p, fmt):
 @_domain_errors
 def table(n_max, k, p, fmt):
     """Expected-count columns per n: classic, random-naples, midpoint, naples."""
+    from .recursions import expected_random_naples, naples_count, parking_count
+
     if n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {n_max}")
     rows = []
@@ -282,6 +276,8 @@ def table(n_max, k, p, fmt):
 @_domain_errors
 def census(n, k, semantics, threads, fmt):
     """Histogram of parking probabilities at p = 1/2 over all n^n tuples."""
+    from .census import full_census
+
     _check_int(threads, "threads", 1)
     result = full_census(n, k=k, semantics=semantics)
     rows = [
@@ -298,14 +294,14 @@ def census(n, k, semantics, threads, fmt):
     _emit(fmt, meta, ["numerator", "denominator", "count"], rows, text)
 
 
-# Looked up at call time, so a verifier rebound in this module takes effect.
+# Each check's module and verifier, imported and looked up when it runs.
 _VERIFIERS = {
-    "monotonicity": lambda n: verify_monotonicity(n),
-    "odd-census": lambda n: verify_odd_census(n),
-    "odd-parity": lambda n: verify_odd_parity(n),
-    "sandwich": lambda n: verify_sandwich(n),
-    "theorem2": lambda n: verify_direction_total(n),
-    "circular-shift": lambda n: verify_circular(n),
+    "monotonicity": ("census", "verify_monotonicity"),
+    "odd-census": ("census", "verify_odd_census"),
+    "odd-parity": ("census", "verify_odd_parity"),
+    "sandwich": ("census", "verify_sandwich"),
+    "theorem2": ("census", "verify_direction_total"),
+    "circular-shift": ("circular", "verify_circular"),
 }
 
 
@@ -322,7 +318,8 @@ _VERIFIERS = {
 @_domain_errors
 def verify(ctx, check, n, fmt):
     """Run one machine-checkable property; exit 1 if it fails."""
-    report = _VERIFIERS[check](n)
+    module, name = _VERIFIERS[check]
+    report = getattr(importlib.import_module(f".{module}", __package__), name)(n)
     rows = [
         {"label": c.label, "passed": c.passed, "detail": c.detail}
         for c in report.checks
@@ -360,6 +357,8 @@ def verify(ctx, check, n, fmt):
 def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_tuple,
        seed, fmt):
     """Seeded simulation: one tuple's probability, or the expected total."""
+    from .montecarlo import estimate_expected_total, estimate_prob
+
     if (alpha is None) == (n is None):
         raise click.UsageError("pass exactly one of --alpha or --n")
     # The other mode's counts would be ignored, so refuse them when typed.
@@ -417,6 +416,8 @@ def mc(ctx, alpha, n, model, k, semantics, p, trials, tuple_samples, trials_per_
 @_domain_errors
 def construct(n, t, a, fmt):
     """Constructive inverses: a tuple hitting a requested probability."""
+    from .census import tuple_for_numerator, tuple_for_odd_numerator
+
     if (t is None) == (a is None):
         raise click.UsageError("pass exactly one of --t or --a")
     if t is not None:

@@ -43,9 +43,10 @@ column the car ends in, its own spot when free, else where the rule of
 the scalar walker core._park lands it, so the estimates equal those of a
 per-trial replay.
 
-numpy is imported inside each function that uses it, not at module top:
-the package and its CLI import this module for every command, and most
-commands never simulate.
+numpy is imported inside each function that uses it, not at module top, as
+elsewhere in the package. The package and the census load this module only
+when a simulation or a census product is asked for, and `mc` loads it
+before it refuses a total past the float range, which then needs no numpy.
 """
 
 from __future__ import annotations

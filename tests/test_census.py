@@ -287,7 +287,7 @@ class TestTransferKernel:
             built.append(args[0])
             raise LookupError("automaton reached")
 
-        monkeypatch.setattr(census, "_all_spot_automaton", automaton)
+        monkeypatch.setattr("parkmodel.montecarlo._all_spot_automaton", automaton)
         with pytest.raises(ValueError, match="float32"):
             _transfer_matrices(26, _rule("naples", 1, JUMP))
         assert built == []
@@ -349,7 +349,8 @@ class TestFlipCounts:
 
     def test_pairs_merge_only_through_the_checked_merge(self, monkeypatch):
         monkeypatch.setattr(
-            census, "_row_multipliers", lambda width: np.zeros(width, dtype=np.uint64)
+            "parkmodel.montecarlo._row_multipliers",
+            lambda width: np.zeros(width, dtype=np.uint64),
         )
         with pytest.raises(RuntimeError, match="^unequal rows share a hash key$"):
             census._flip_counts(4, _rule(*FLIP_RULES["k1-jump"]))
@@ -407,7 +408,8 @@ class TestDistinctRows:
 
     def test_census_raises_when_every_key_collides(self, monkeypatch):
         monkeypatch.setattr(
-            census, "_row_multipliers", lambda width: np.zeros(width, dtype=np.uint64)
+            "parkmodel.montecarlo._row_multipliers",
+            lambda width: np.zeros(width, dtype=np.uint64),
         )
         with pytest.raises(RuntimeError, match="hash key"):
             full_census(4)

@@ -13,7 +13,6 @@ import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 import parkmodel
-from parkmodel import cli
 from parkmodel.census import CheckResult, VerificationReport
 from parkmodel.cli import main
 from parkmodel.recursions import expected_random_naples
@@ -129,6 +128,28 @@ class TestProb:
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == "Error: P(parks) is too large for a float decimal\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_value_past_the_int_digit_limit(self, runner, fmt):
+        # 3^9099 has 4,342 digits, past the interpreter's default limit on
+        # str(int), and the value is formatted before any line is printed.
+        limit = sys.get_int_max_str_digits()
+        result = runner.invoke(
+            main,
+            ["prob", "--alpha", ",".join(["1"] * 9100), "--model", "direction",
+             "--p", "1/3", "--format", fmt],
+        )
+        assert result.exit_code == 0, result.output
+        assert sys.get_int_max_str_digits() == limit
+        if fmt == "text":
+            value = result.output.splitlines()[1].split(" = ")[1].split(" ")[0]
+        elif fmt == "json":
+            value = json.loads(result.output)["rows"][0]["value"]
+        else:
+            value = result.output.splitlines()[1].split(",")[0]
+        numerator, denominator = value.split("/")
+        assert numerator == "1"
+        assert int(Decimal(denominator)) == 3**9099
+
     def test_malformed_alpha_exits_two(self, runner):
         result = runner.invoke(
             main, ["prob", "--alpha", "one,two", "--model", "naples"]
@@ -198,6 +219,22 @@ class TestTable:
         csv = runner.invoke(main, ["table", "--n-max", "144", "--format", "csv"])
         assert csv.exit_code == 0
         assert csv.output.splitlines()[-1].split(",")[2] == top["expected"]
+
+    def test_values_past_a_lowered_int_digit_limit(self, runner):
+        # 640 is the lowest limit the interpreter allows on str(int); at
+        # n = 260 the expected count's numerator has 666 digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            result = runner.invoke(main, ["table", "--n-max", "260", "--format", "json"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert result.exit_code == 0, result.output
+        top = json.loads(result.output)["rows"][-1]
+        assert top["n"] == 260
+        assert len(top["expected"].split("/")[0]) == 666
+        assert Fraction(top["expected"]) == expected_random_naples(260, 1, Fraction(1, 2))
 
     def test_text_fits_a_float_up_to_n_143(self, runner):
         result = runner.invoke(main, ["table", "--n-max", "143"])
@@ -310,7 +347,7 @@ class TestVerify:
             "sandwich", (CheckResult("forced", False, "injected failure"),)
         )
         monkeypatch.setattr(
-            "parkmodel.cli.verify_sandwich", lambda n: report
+            "parkmodel.census.verify_sandwich", lambda n: report
         )
         result = runner.invoke(main, ["verify", "--check", "sandwich", "--n", "4"])
         assert result.exit_code == 1
@@ -426,7 +463,7 @@ class TestMc:
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a total that cannot be printed")
 
-        monkeypatch.setattr(cli, "estimate_expected_total", refuse)
+        monkeypatch.setattr("parkmodel.montecarlo.estimate_expected_total", refuse)
         result = runner.invoke(main, ["mc", "--n", "144", "--model", "naples"])
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == (
@@ -609,13 +646,17 @@ def test_python_dash_m_runs_the_cli(runner, module):
 
 _FRESH_CLI = """
 import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("parkmodel") or m == "numpy")
 import parkmodel
-seen = {"click_after_package": "click" in sys.modules}
+seen = {"click_after_package": "click" in sys.modules, "after_package": loaded()}
 import parkmodel.cli
 seen["heavy_after_cli"] = sorted({"numpy", "multiprocessing"} & set(sys.modules))
+seen["after_cli"] = loaded()
+seen["after_exact"] = []
 for args in json.loads(sys.argv[1]):
     parkmodel.cli.main(args, standalone_mode=False)
-seen["numpy_after_exact"] = "numpy" in sys.modules
+    seen["after_exact"].append(loaded())
 seen["outputs"] = []
 for args in json.loads(sys.argv[2]):
     out = io.StringIO()
@@ -627,16 +668,18 @@ print(json.dumps(seen))
 
 
 def test_numpy_loads_only_for_array_subcommands(runner):
-    """Importing the CLI loads neither numpy nor multiprocessing; the exact
-    subcommands, the odd-count checks among them, never load numpy, and the
-    array subcommands print the same
-    bytes in an interpreter that loads numpy on first use."""
-    exact = [
-        ["prob", "--alpha", "2,2,2", "--model", "naples"],
-        ["construct", "--n", "22", "--t", "1048575"],
-        ["verify", "--check", "theorem2", "--n", "5"],
-        ["verify", "--check", "odd-census", "--n", "7"],
-        ["verify", "--check", "odd-parity", "--n", "20"],
+    """Importing the package loads no submodule, and the CLI only core, with
+    neither numpy nor multiprocessing; each exact subcommand loads only the
+    modules it calls and never numpy, and the array subcommands print the
+    same bytes in an interpreter that loads numpy on first use."""
+    exact = [  # each command, then the parkmodel modules it must not load
+        (["prob", "--alpha", "2,2,2", "--model", "naples"],
+         {"census", "montecarlo", "circular"}),
+        (["table", "--n-max", "8"], {"census", "montecarlo", "circular"}),
+        (["construct", "--n", "22", "--t", "1048575"], {"montecarlo", "circular"}),
+        (["verify", "--check", "odd-census", "--n", "7"], {"montecarlo", "circular"}),
+        (["verify", "--check", "theorem2", "--n", "5"], {"montecarlo", "circular"}),
+        (["verify", "--check", "odd-parity", "--n", "20"], {"montecarlo", "circular"}),
     ]
     arrays = [
         ["census", "--n", "4", "--format", "json"],
@@ -645,12 +688,19 @@ def test_numpy_loads_only_for_array_subcommands(runner):
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(parkmodel.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_CLI, json.dumps(exact), json.dumps(arrays)],
+        [sys.executable, "-c", _FRESH_CLI, json.dumps([args for args, _ in exact]),
+         json.dumps(arrays)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["click_after_package"] is False
+    assert seen["after_package"] == ["parkmodel"]
     assert seen["heavy_after_cli"] == []
-    assert seen["numpy_after_exact"] is False
+    assert seen["after_cli"] == ["parkmodel", "parkmodel.cli", "parkmodel.core"]
+    for (args, absent), after in zip(exact, seen["after_exact"]):
+        assert "numpy" not in after, args
+        assert {f"parkmodel.{m}" for m in absent}.isdisjoint(after), (args, after)
+    assert after == ["parkmodel", "parkmodel.census", "parkmodel.cli", "parkmodel.core",
+                     "parkmodel.exact", "parkmodel.recursions"]
     assert seen["outputs"] == [runner.invoke(main, args).output for args in arrays]
