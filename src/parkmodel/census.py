@@ -20,10 +20,11 @@ every mask of popcount d, so the census lands a blocked car by the same
 rule as the simulation and the scalar walker core._park. The one
 traversal of the matrices is a DP over distinct rows (_census_rows):
 prefixes that leave equal rows are merged before each product, by
-montecarlo._distinct_rows (the fixed-tuple automaton's merge too: a
-multiplicative hash of each row checked for exact equality), and each
-merge's inverse map is kept, so any single tuple's count is an O(n)
-walk. full_census bincounts that DP's final rows.
+montecarlo._distinct_rows (the fixed-tuple automaton's merge too: rows
+sorted by a multiplicative hash, a group starting wherever a row differs
+from the one before it), and each merge's inverse map is kept, so any
+single tuple's count is an O(n) walk. full_census bincounts that DP's
+final rows.
 numpy, and the automaton and merge from the Monte Carlo module, are
 imported inside the functions that build and multiply the matrices, not at
 module top, so the exact constructions and verifiers below, which need no
@@ -205,9 +206,9 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     Row r of depth d holds the state weights of some prefixes of length d;
     one product with the transfer matrix parks the next car under every
     letter at once. Prefixes that leave equal rows have equal completions,
-    so before each product equal rows are merged (_distinct_rows, with one
-    set of multipliers for the widest layer) and each distinct row carries
-    its prefix count: at most 1,942 rows per depth at n = 9, k = 1.
+    so before each product equal rows are merged (_distinct_rows, whose
+    groups hold only equal rows) and each distinct row carries its prefix
+    count: at most 1,942 rows per depth at n = 9, k = 1.
 
     Returns (steps, counts, weights). steps[d] is the merge's inverse map
     at depth d, so a tuple's final row is an O(n) walk,
@@ -227,15 +228,14 @@ def _census_rows(n: int, rule: tuple) -> tuple[list, np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    from .montecarlo import _distinct_rows, _row_multipliers
+    from .montecarlo import _distinct_rows
 
     mats = _transfer_matrices(n, rule)
-    mult = _row_multipliers(max(len(mat) for mat in mats))
     states = np.ones((1, 1), dtype=np.float32)
     weights = np.ones(1)
     steps = []
     for mat in mats:
-        first, inverse = _distinct_rows(states.view(np.uint32), mult)
+        first, inverse = _distinct_rows(states.view(np.uint32))
         steps.append(inverse)
         weights = np.repeat(np.bincount(inverse, weights, len(first)), n)
         states = (states[first] @ mat).reshape(-1, mat.shape[1] // n)
@@ -292,13 +292,14 @@ class StaircaseShape:
     first entry counts the trailing 2s and the last entry counts the leading
     copies of the top value t = len(multiplicities) + 1. The expanded tuple
     is (t, ..., t, t-1, ..., 2, ..., 2); its first two entries coincide,
-    which forces the last multiplicity to be at least 2.
+    which forces the last multiplicity to be at least 2. The
+    multiplicities are stored as a tuple.
     """
 
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        ms = self.multiplicities
+        ms = tuple(self.multiplicities)
         if not ms:
             raise ValueError("a staircase shape needs at least one block")
         if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in ms):
@@ -307,6 +308,7 @@ class StaircaseShape:
             raise ValueError(
                 f"the top block needs at least 2 cars (first two entries tie), got {ms}"
             )
+        object.__setattr__(self, "multiplicities", ms)
 
     @property
     def n(self) -> int:
@@ -680,7 +682,7 @@ def _flip_counts(n: int, rule: tuple) -> tuple[int, int]:
     """
     import numpy as np
 
-    from .montecarlo import _all_spot_automaton, _distinct_rows, _row_multipliers
+    from .montecarlo import _all_spot_automaton, _distinct_rows
 
     single = np.ones(1, dtype=np.int64)
     pairs, weights = np.zeros((0, 2), dtype=np.intp), single[:0]
@@ -695,7 +697,7 @@ def _flip_counts(n: int, rule: tuple) -> tuple[int, int]:
         rows, adds = np.concatenate(rows), np.concatenate(adds)
         live = rows[:, 0] != dead
         rows, adds = rows[live], adds[live]
-        first, inverse = _distinct_rows(rows.view(np.uintp), _row_multipliers(2))
+        first, inverse = _distinct_rows(rows.view(np.uintp))
         pairs, weights = rows[first], np.zeros(len(first), dtype=np.int64)
         np.add.at(weights, inverse, adds)
         bits = cells[:-1, :, : 2 if d else 1]

@@ -40,8 +40,9 @@ class EmptySpotDistribution:
     """Exact distribution of the one empty spot on the (n+1)-ring.
 
     probs[i] is the probability (a polynomial in p) that spot i + 1 is the
-    empty one; the entries sum to the constant polynomial 1, and each lies
-    in [0, 1] at p = 0 and at p = 1. Anything else raises ValueError.
+    empty one; the entries are Polys (stored as a tuple), they sum to the
+    constant polynomial 1, and each lies in [0, 1] at p = 0 and at p = 1.
+    Anything else raises ValueError.
     """
 
     n: int
@@ -49,19 +50,24 @@ class EmptySpotDistribution:
 
     def __post_init__(self):
         _check_int(self.n, "car count n", 1)
-        if len(self.probs) != self.n + 1:
+        probs = tuple(self.probs)
+        if len(probs) != self.n + 1:
             raise ValueError(
-                f"need {self.n + 1} entries for {self.n} cars, got {len(self.probs)}"
+                f"need {self.n + 1} entries for {self.n} cars, got {len(probs)}"
             )
-        if sum(self.probs, Poly.zero()) != Poly.one():
+        for prob in probs:
+            if not isinstance(prob, Poly):
+                raise ValueError(f"empty-spot entries must be Polys, got {prob!r}")
+        if sum(probs, Poly.zero()) != Poly.one():
             raise ValueError("empty-spot probabilities do not sum to 1")
-        for spot, prob in enumerate(self.probs, start=1):
+        for spot, prob in enumerate(probs, start=1):
             # The values at p = 0 and p = 1: the constant and the coefficient sum.
             if not all(0 <= v <= 1 for v in (sum(prob.coeffs[:1]), sum(prob.coeffs))):
                 raise ValueError(
                     f"the probability of spot {spot}, {prob}, leaves [0, 1] "
                     "at p = 0 or p = 1"
                 )
+        object.__setattr__(self, "probs", probs)
 
     def prob_for_spot(self, spot: int) -> Poly:
         _check_int(spot, "spot")

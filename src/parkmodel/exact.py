@@ -126,10 +126,10 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         """c times self; scale(1) is self itself, so a unit factor costs nothing."""
-        if c == 1:
-            return self
         if type(c) is not int:
             raise ValueError(f"Poly scale factor must be an integer, got {c!r}")
+        if c == 1:
+            return self
         return _poly(tuple(c * x for x in self.coeffs))
 
     def evaluate(self, p: Fraction) -> Fraction:

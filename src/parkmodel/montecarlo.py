@@ -29,7 +29,9 @@ its index array); a dead state holds the runs that have failed. Every trial
 of a chunk then costs one gather per car (_walk). For a fixed tuple the
 reachable occupancy masks are not known in advance, so _automaton finds
 them by a breadth-first search from the empty lot, one car at a time,
-merging equal masks by _distinct_rows (the census DP's merge too). With
+merging equal masks by _distinct_rows (the census DP's merge too), which
+sorts the masks by a hash key and compares each with the one before it,
+so a key collision cannot merge unequal masks. With
 every spot available they are: after d cars, every mask of popcount d. So
 _all_spot_automaton, which the expected total walks and the census reads
 its transfer matrices from, builds every table in closed form, in one pass
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import prod, sqrt
 from typing import TYPE_CHECKING, Sequence
 
@@ -193,47 +195,49 @@ def _parks_rows(prefs, bits, naples: bool, k: int, firstfit: bool) -> np.ndarray
     return parked.reshape(shape)
 
 
+@cache
 def _row_multipliers(width: int) -> np.ndarray:
     """width fixed odd uint64 multipliers: splitmix64 of 1, 3, 5, ..., low bit set.
 
     Odd inputs only: with x and 2x both inputs, m(2x) - 2m(x) repeats
-    across x, and relations 2(m_i + m_j) = m_k + m_l follow that make unequal
-    rows share a key. Plain uint64 arithmetic, wrapping mod 2^64, so no
-    random module loads.
+    across x, and relations 2(m_i + m_j) = m_k + m_l follow that give
+    unequal rows one key. Plain uint64 arithmetic, wrapping mod 2^64, so no
+    random module loads. Cached per width and read-only.
     """
     import numpy as np
 
     z = np.arange(1, 2 * width, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ z >> np.uint64(31) | np.uint64(1)
+    mult = z ^ z >> np.uint64(31) | np.uint64(1)
+    mult.flags.writeable = False
+    return mult
 
 
-def _distinct_rows(rows: np.ndarray, mult: np.ndarray) -> tuple:
+def _distinct_rows(rows: np.ndarray) -> tuple:
     """Equal rows merged: (first, inverse), with rows[first[inverse]] == rows.
 
     The package's one merge of equal rows. rows is an unsigned-integer view
     (census float32 bit patterns, automaton bool masks as uint8). A row's
-    key is its entries dotted with mult, wrapping mod 2^64 (a
-    multiplicative hash); one argsort groups equal keys. Each row is then
-    compared with its group's representative, so a key collision raises
-    RuntimeError instead of merging unequal rows. Groups come in key order,
-    first[g] is some member of group g, and zero rows give empty arrays.
+    key is its entries dotted with _row_multipliers, wrapping mod 2^64 (a
+    multiplicative hash); one argsort orders the keys, and a group starts
+    wherever a row differs from the row before it in that order. So a group
+    holds only equal rows, and a key collision can at worst leave equal
+    rows in two groups. Groups come in key order, first[g] is some member
+    of group g, and zero rows give empty arrays.
     """
     import numpy as np
 
-    keys = rows @ mult[: rows.shape[1]]
-    order = np.argsort(keys)
-    keys = keys[order]
-    new = np.empty(len(keys), dtype=bool)
+    order = np.argsort(rows @ _row_multipliers(rows.shape[1]))
+    rows = rows[order]
+    new = np.empty(len(rows), dtype=bool)
     new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    inverse = np.empty(len(keys), dtype=np.intp)
+    # Differing cells counted in float32: a sum of ones never rounds to 0.
+    ones = np.ones(rows.shape[1], np.float32)
+    np.not_equal((rows[1:] != rows[:-1]) @ ones, 0, out=new[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    first = order[new]
-    if not np.array_equal(rows[first[inverse]], rows):
-        raise RuntimeError("unequal rows share a hash key")
-    return first, inverse
+    return order[new], inverse
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,6 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
     import numpy as np
 
     masks = np.zeros((1, n), dtype=bool)
-    mult = _row_multipliers(n)
     steps, cells, peak = [], 0, 1
     for i, spot in enumerate(prefs):
         if not masks[:, spot].any():
@@ -277,7 +280,7 @@ def _automaton(prefs, n: int, naples: bool, k: int, firstfit: bool, budget: int)
         land = _land(occ, np.full(len(occ), spot), rows % 2 == 1, naples, k, firstfit)
         rows = rows[land >= 0]
         occ[rows, land[rows]] = True
-        first, inverse = _distinct_rows(occ[rows].view(np.uint8), mult)
+        first, inverse = _distinct_rows(occ[rows].view(np.uint8))
         masks = occ[rows[first]]
         peak = max(peak, len(masks))
         table = np.full(len(occ) + 2, len(masks), dtype=np.intp)

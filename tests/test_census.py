@@ -303,6 +303,11 @@ def _void_unique(states):
     return first, inverse
 
 
+def _zero_multipliers(width):
+    """Multipliers that give every row of the merge one key."""
+    return np.zeros(width, dtype=np.uint64)
+
+
 FLIP_RULES = {
     "direction": ("direction", 0, "jump"),
     "k1-jump": ("naples", 1, "jump"),
@@ -347,13 +352,13 @@ class TestFlipCounts:
     def test_pinned_counts(self, name, n, counts):
         assert census._flip_counts(n, _rule(*FLIP_RULES[name])) == counts
 
-    def test_pairs_merge_only_through_the_checked_merge(self, monkeypatch):
-        monkeypatch.setattr(
-            "parkmodel.montecarlo._row_multipliers",
-            lambda width: np.zeros(width, dtype=np.uint64),
-        )
-        with pytest.raises(RuntimeError, match="^unequal rows share a hash key$"):
-            census._flip_counts(4, _rule(*FLIP_RULES["k1-jump"]))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(FLIP_RULES))
+    def test_all_zero_multipliers_give_the_same_counts(self, monkeypatch, n, name):
+        rule = _rule(*FLIP_RULES[name])
+        expected = census._flip_counts(n, rule)
+        monkeypatch.setattr("parkmodel.montecarlo._row_multipliers", _zero_multipliers)
+        assert census._flip_counts(n, rule) == expected
 
 
 class TestDistinctRows:
@@ -363,7 +368,7 @@ class TestDistinctRows:
         distinct = rng.permutation(np.unique(rng.integers(0, 60, (400, width)), axis=0))
         distinct = distinct[:50].astype(np.float32)
         states = distinct[rng.integers(0, 50, 2000)]
-        first, inverse = _distinct_rows(states.view(np.uint32), _row_multipliers(126))
+        first, inverse = _distinct_rows(states.view(np.uint32))
         old_first, old_inverse = _void_unique(states)
         assert len(first) == len(old_first) == 50
         # One group per old group: the pairs of labels number the groups.
@@ -377,6 +382,12 @@ class TestDistinctRows:
         assert (mult & np.uint64(1)).all()
         assert len(set(mult.tolist())) == 126
         assert np.array_equal(_row_multipliers(7), mult[:7])
+
+    def test_multipliers_are_cached_and_read_only(self):
+        mult = _row_multipliers(35)
+        assert _row_multipliers(35) is mult
+        with pytest.raises(ValueError, match="read-only"):
+            mult[0] = 0
 
     def test_multipliers_hold_no_doubling_relation(self):
         # No 2^s (m_i + m_j) = m_k + m_l mod 2^64, s = 0..3, among the first
@@ -394,25 +405,40 @@ class TestDistinctRows:
         rows = np.zeros((2, 104), dtype=np.uint32)
         rows[0, [45, 51]] = 64
         rows[1, [91, 103]] = 32
-        first, inverse = _distinct_rows(rows, _row_multipliers(104))
+        first, inverse = _distinct_rows(rows)
         assert len(first) == 2
         assert sorted(inverse.tolist()) == [0, 1]
 
-    def test_a_key_collision_raises(self):
-        states = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.float32).view(np.uint32)
-        zeros = np.zeros(2, dtype=np.uint64)
-        with pytest.raises(RuntimeError, match="hash key"):
-            _distinct_rows(states, zeros)
-        first, inverse = _distinct_rows(states[[0, 2]], zeros)
+    @pytest.mark.parametrize("width, cells", [(300, 256), (70_000, 65_536)])
+    def test_rows_differing_in_a_power_of_two_of_cells_stay_apart(self, width, cells):
+        # A count of differing cells held in uint8 or uint16 would wrap to 0.
+        rows = np.zeros((2, width), dtype=np.uint8)
+        rows[1, :cells] = 1
+        first, inverse = _distinct_rows(rows)
+        assert len(first) == 2
+        assert sorted(inverse.tolist()) == [0, 1]
+
+    def test_a_key_collision_groups_only_equal_rows(self, monkeypatch):
+        monkeypatch.setattr("parkmodel.montecarlo._row_multipliers", _zero_multipliers)
+        rng = np.random.default_rng(7)
+        rows = (1 << rng.integers(0, 3, (200, 4))).astype(np.uint32)
+        first, inverse = _distinct_rows(rows)
+        assert np.array_equal(rows[first[inverse]], rows)
+        first, inverse = _distinct_rows(rows[[0, 0]])
         assert len(first) == 1 and inverse.tolist() == [0, 0]
 
-    def test_census_raises_when_every_key_collides(self, monkeypatch):
-        monkeypatch.setattr(
-            "parkmodel.montecarlo._row_multipliers",
-            lambda width: np.zeros(width, dtype=np.uint64),
-        )
-        with pytest.raises(RuntimeError, match="hash key"):
-            full_census(4)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", sorted(FLIP_RULES))
+    def test_census_is_unchanged_when_every_key_collides(self, monkeypatch, n, name):
+        rule = _rule(*FLIP_RULES[name])
+
+        def histogram():
+            _, counts, weights = _census_rows(n, rule)
+            return np.bincount(counts, weights, (1 << (n - 1)) + 1).tolist()
+
+        expected = histogram()
+        monkeypatch.setattr("parkmodel.montecarlo._row_multipliers", _zero_multipliers)
+        assert histogram() == expected
 
     @pytest.mark.parametrize(
         "n, digest",
@@ -453,6 +479,12 @@ class TestStaircaseShapes:
         assert StaircaseShape((2,)).expand() == (2, 2)
         assert StaircaseShape((1, 2)).expand() == (3, 3, 2)
         assert StaircaseShape((3, 1, 2)).expand() == (4, 4, 3, 2, 2, 2)
+
+    def test_multiplicities_are_stored_as_a_tuple(self):
+        shape = StaircaseShape([1, 2])
+        assert shape.multiplicities == (1, 2)
+        assert shape == StaircaseShape((1, 2))
+        assert hash(shape) == hash(StaircaseShape((1, 2)))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_shape_count(self, n):

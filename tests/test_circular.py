@@ -112,6 +112,17 @@ class TestEmptySpotDistribution:
         with pytest.raises(ValueError, match="leaves \\[0, 1\\]"):
             EmptySpotDistribution(1, (Poly((0, 2)), Poly((1, -2))))
 
+    def test_entries_are_stored_as_a_tuple(self):
+        dist = EmptySpotDistribution(1, [Poly.one(), Poly.zero()])
+        assert dist.probs == (Poly.one(), Poly.zero())
+        assert dist == EmptySpotDistribution(1, (Poly.one(), Poly.zero()))
+        assert hash(dist) == hash(EmptySpotDistribution(1, (Poly.one(), Poly.zero())))
+
+    @pytest.mark.parametrize("probs", [(1, 0), (Poly.one(), 0), (Poly.one(), None)])
+    def test_entries_that_are_not_polys_are_rejected(self, probs):
+        with pytest.raises(ValueError, match="entries must be Polys"):
+            EmptySpotDistribution(1, probs)
+
     @pytest.mark.parametrize("n", [True, 1.0, 0])
     def test_car_count_must_be_a_positive_int(self, n):
         with pytest.raises(ValueError, match="car count n"):

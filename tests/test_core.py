@@ -340,10 +340,11 @@ def test_the_exact_step_runs_only_in_its_walks():
 
 
 def test_rows_merge_only_through_the_checked_merge():
-    """Equal rows merge only in montecarlo._distinct_rows, which checks its keys.
+    """Equal rows merge only in montecarlo._distinct_rows, which compares rows.
 
-    np.unique over np.void row views (or np.packbits keys) would be a second,
-    unchecked merge.
+    It groups rows exactly, so a key collision never merges unequal rows.
+    np.unique over np.void row views (or np.packbits keys) would be a
+    second merge.
     """
     banned = {"unique", "packbits", "void"}
     for path in sorted(Path(parkmodel.__file__).parent.glob("*.py")):

@@ -99,9 +99,10 @@ class TestPolyAlgebra:
         with pytest.raises(ValueError, match="coefficients must be integers"):
             Poly(coeffs)
 
-    def test_non_int_scale_factor_is_rejected(self):
+    @pytest.mark.parametrize("c", [0.5, 1.0, True])
+    def test_non_int_scale_factor_is_rejected(self, c):
         with pytest.raises(ValueError, match="scale factor must be an integer"):
-            Poly((1, 2)).scale(0.5)
+            Poly((1, 2)).scale(c)
 
     @pytest.mark.parametrize("c", [0.0, False])
     def test_non_int_constant_is_rejected(self, c):
