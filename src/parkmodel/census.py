@@ -59,6 +59,7 @@ from .core import (
     DEFAULT_SEMANTICS,
     NaplesSemantics,
     RandomModel,
+    _as_tuple,
     _check_int,
     _line_moves,
     _rule,
@@ -123,7 +124,7 @@ class DistributionTable:
         _check_int(self.n, "car count n", 1)
         _check_int(self.k, "backward allowance k", 1)
         object.__setattr__(self, "semantics", NaplesSemantics(self.semantics))
-        counts = tuple(self.counts)
+        counts = _as_tuple(self.counts, "counts")
         # The bit length first, so a huge n builds no huge 2^(n-1).
         width = len(counts) - 1
         if width.bit_length() != self.n or width != self.denominator:
@@ -299,7 +300,7 @@ class StaircaseShape:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        ms = tuple(self.multiplicities)
+        ms = _as_tuple(self.multiplicities, "multiplicities")
         if not ms:
             raise ValueError("a staircase shape needs at least one block")
         if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in ms):

@@ -23,6 +23,7 @@ from .census import CheckResult, VerificationReport, _check_sweep
 from .core import (
     DEFAULT_SEMANTICS,
     RandomModel,
+    _as_tuple,
     _check_int,
     _highest_free_upto,
     _line_moves,
@@ -50,7 +51,7 @@ class EmptySpotDistribution:
 
     def __post_init__(self):
         _check_int(self.n, "car count n", 1)
-        probs = tuple(self.probs)
+        probs = _as_tuple(self.probs, "empty-spot entries")
         if len(probs) != self.n + 1:
             raise ValueError(
                 f"need {self.n + 1} entries for {self.n} cars, got {len(probs)}"

@@ -12,7 +12,11 @@ Decision bits derandomize the two coin-flip models: bit value 1 always means
 "search forward only", bit value 0 takes the backward branch of the model at
 hand.  Car 1 never finds its spot taken, so a choice vector for n cars has
 n-1 bits; bit j (0-based) of the integer belongs to car j+2.  Bits of cars
-whose preferred spot is free are simply ignored.
+whose preferred spot is free are simply ignored.  The deterministic rules
+are two such vectors: the classic rule (park_forward) is the all-forward
+one, the deterministic Naples rule (park_naples_det) the all-backward one
+of the Naples model, and both are walked through _replay, which checks the
+tuple, the vector and the rule once for every public line walk.
 
 _park, like the exact step, tracks an int bitmask of taken spots (bit s-1
 set: spot s is taken); the bit helpers read its complement, the free spots.
@@ -91,6 +95,14 @@ def _check_int(value, name: str, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _as_tuple(values, name: str) -> tuple:
+    """tuple(values), or ValueError naming the field when values is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def _rule(model, k, semantics) -> tuple[bool, int, bool]:
@@ -182,18 +194,13 @@ def _park(prefs, beta, moves) -> list:
     return spots
 
 
-def _result(spots: list, n: int) -> ParkingResult:
-    if len(spots) == n:
-        return ParkingResult(True, assignment=tuple(spots))
-    return ParkingResult(False, first_failed_car=len(spots) + 1)
-
-
 def park_forward(prefs: Sequence[int]) -> ParkingResult:
-    """Classic rule: each car takes the first free spot at or past its preference."""
-    n = len(prefs)
-    check_preferences(prefs, n)
-    rule = _rule(RandomModel.DIRECTION, 0, DEFAULT_SEMANTICS)
-    return _result(_park(prefs, (1 << n) - 1, _line_moves(n, rule)), n)
+    """Classic rule: each car takes the first free spot at or past its preference.
+
+    It is the all-forward choice vector: every blocked car searches forward
+    only, whatever the model, so the direction model stands in for both.
+    """
+    return park_with_choices(prefs, (1 << len(prefs)) - 1 >> 1, RandomModel.DIRECTION)
 
 
 def park_naples_det(
@@ -203,12 +210,10 @@ def park_naples_det(
 ) -> ParkingResult:
     """Naples rule with every blocked car taking the backward branch.
 
-    k = 0 degenerates to the classic forward-only rule.
+    It is the all-backward choice vector of the Naples model; k = 0
+    degenerates to the classic forward-only rule.
     """
-    n = len(prefs)
-    check_preferences(prefs, n)
-    rule = _rule(RandomModel.NAPLES, k, semantics)
-    return _result(_park(prefs, 0, _line_moves(n, rule)), n)
+    return park_with_choices(prefs, 0, RandomModel.NAPLES, k, semantics)
 
 
 def _replay(prefs, beta, model, k, semantics) -> list:
@@ -232,7 +237,10 @@ def park_with_choices(
     model's backward branch: under DIRECTION a backward-only search that fails
     below spot 1 without retrying forward, under NAPLES the k-spot backup.
     """
-    return _result(_replay(prefs, beta, model, k, semantics), len(prefs))
+    spots = _replay(prefs, beta, model, k, semantics)
+    if len(spots) == len(prefs):
+        return ParkingResult(True, assignment=tuple(spots))
+    return ParkingResult(False, first_failed_car=len(spots) + 1)
 
 
 def parks_under_choices(

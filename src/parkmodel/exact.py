@@ -40,6 +40,7 @@ from .core import (
     DEFAULT_SEMANTICS,
     NaplesSemantics,
     RandomModel,
+    _as_tuple,
     _line_moves,
     _rule,
     check_preferences,
@@ -63,7 +64,7 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = _as_tuple(self.coeffs, "Poly coefficients")
         for x in c:
             if type(x) is not int:
                 raise ValueError(f"Poly coefficients must be integers, got {x!r}")

@@ -149,6 +149,9 @@ def _land(occ, a, fwd, naples: bool, k: int, firstfit: bool) -> np.ndarray:
     """
     import numpy as np
 
+    # Past n - 1 spots every backup reaches column 0, and numpy takes no
+    # Python int past 2^63 - 1 in b - k.
+    k = min(k, occ.shape[1])
     land = a.astype(np.int64)
     blocked = occ[np.arange(len(a)), a]
     cols = np.arange(occ.shape[1])

@@ -135,6 +135,14 @@ class TestFullCensus:
         table = full_census(n, k, semantics)
         assert table.counts == tuple(np.bincount(expected, minlength=len(table.counts)))
 
+    @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
+    def test_backups_past_every_spot_equal_k_n_minus_1(self, semantics):
+        # k = 2^70 passes no numpy int64: it reads as k = n - 1.
+        for n in (3, 5, 7):
+            got = full_census(n, 1 << 70, semantics)
+            assert got.k == 1 << 70
+            assert got.counts == full_census(n, n - 1, semantics).counts
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_marginal_invariants(self, n):
         table = full_census(n)
@@ -163,6 +171,7 @@ class TestFullCensus:
             (3, 0, "jump", (0, 0, 0, 0, 27)),
             (3, 1.0, "jump", (0, 0, 0, 0, 27)),
             (10**12, 1, "jump", (0, 1)),
+            (1, 1, "jump", 5),
         ],
     )
     def test_table_rejects_malformed_input(self, n, k, semantics, counts):
@@ -511,6 +520,8 @@ class TestStaircaseShapes:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             StaircaseShape(())
+        with pytest.raises(ValueError, match="multiplicities must be a sequence"):
+            StaircaseShape(5)
         with pytest.raises(ValueError):
             StaircaseShape((2, 1))
         with pytest.raises(ValueError):

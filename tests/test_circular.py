@@ -102,6 +102,8 @@ class TestEmptySpotDistribution:
             EmptySpotDistribution(2, (Poly.one(), Poly.zero()))
         with pytest.raises(ValueError):
             EmptySpotDistribution(1, (Poly.one(), Poly.one()))
+        with pytest.raises(ValueError, match="entries must be a sequence"):
+            EmptySpotDistribution(1, 5)
         with pytest.raises(ValueError):
             empty_spot_distribution((1, 1)).prob_for_spot(4)
 

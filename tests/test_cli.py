@@ -299,6 +299,12 @@ class TestCensus:
         assert via_env.exit_code == 0
         assert via_env.output == runner.invoke(main, args).output
 
+    def test_backups_past_every_spot_read_as_k_n_minus_1(self, runner):
+        args = ["census", "--n", "4", "--format", "csv"]
+        huge = runner.invoke(main, [*args, "--k", str(1 << 63)])
+        assert huge.exit_code == 0
+        assert huge.output == runner.invoke(main, [*args, "--k", "3"]).output
+
     def test_bad_thread_count(self, runner):
         result = runner.invoke(main, ["census", "--n", "3", "--threads", "0"])
         assert result.exit_code == 1
@@ -425,6 +431,13 @@ class TestMc:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["meta"]["stats"] == stats
+
+    def test_backups_past_every_spot_read_as_k_n_minus_1(self, runner):
+        args = ["mc", "--alpha", "3,3,3", "--model", "naples", "--trials", "500",
+                "--seed", "5"]
+        huge = runner.invoke(main, [*args, "--k", str(1 << 63)])
+        assert huge.exit_code == 0
+        assert huge.output == runner.invoke(main, [*args, "--k", "2"]).output
 
     def test_fixed_tuple_json(self, runner):
         result = runner.invoke(

@@ -312,11 +312,8 @@ def test_invariant_checks_survive_optimized_mode():
         assert not asserts, f"{path.name} has assert statements at lines {asserts}"
 
 
-def test_the_exact_step_runs_only_in_its_walks():
-    """exact._park_car is called only by _park_all, by _park_each (the one
-    depth-first per-tuple walk) and by census._parity_census, whose merged
-    prefixes are no walk: a second walk beside them would be a copy.
-    """
+def callers_of(name: str) -> set:
+    """(module file, innermost enclosing function) of each call to name in src/."""
     callers = set()
     for path in sorted(Path(parkmodel.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -330,12 +327,31 @@ def test_the_exact_step_runs_only_in_its_walks():
             (path.name, scope.get(node))
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
-            and "_park_car" in (getattr(node.func, k, None) for k in ("id", "attr"))
+            and name in (getattr(node.func, k, None) for k in ("id", "attr"))
         }
-    assert callers == {
+    return callers
+
+
+def test_the_exact_step_runs_only_in_its_walks():
+    """exact._park_car is called only by _park_all, by _park_each (the one
+    depth-first per-tuple walk) and by census._parity_census, whose merged
+    prefixes are no walk: a second walk beside them would be a copy.
+    """
+    assert callers_of("_park_car") == {
         ("exact.py", "_park_all"),
         ("exact.py", "_park_each"),
         ("census.py", "_parity_census"),
+    }
+
+
+def test_the_line_walk_runs_only_through_the_replay():
+    """core._park is called only by core._replay, which checks the tuple, the
+    choice vector and the rule for every public line walk (park_forward and
+    park_naples_det being choice vectors), and by circular.circular_park.
+    """
+    assert callers_of("_park") == {
+        ("core.py", "_replay"),
+        ("circular.py", "circular_park"),
     }
 
 

@@ -99,6 +99,10 @@ class TestPolyAlgebra:
         with pytest.raises(ValueError, match="coefficients must be integers"):
             Poly(coeffs)
 
+    def test_non_iterable_coefficients_are_rejected(self):
+        with pytest.raises(ValueError, match="coefficients must be a sequence"):
+            Poly(5)
+
     @pytest.mark.parametrize("c", [0.5, 1.0, True])
     def test_non_int_scale_factor_is_rejected(self, c):
         with pytest.raises(ValueError, match="scale factor must be an integer"):

@@ -260,6 +260,28 @@ class TestDegenerateCases:
         all_backward = parks_under_choices(prefs, 0, RandomModel.DIRECTION)
         assert at_zero.mean == float(all_backward)
 
+    @pytest.mark.parametrize("semantics", [JUMP, FIRSTFIT])
+    def test_backups_past_every_spot_equal_k_n_minus_1(self, semantics):
+        # k = 2^70 passes no numpy int64: past n - 1 spots every backup
+        # reaches spot 1, so it reads as k = n - 1.
+        huge = 1 << 70
+        for prefs in [(3, 3, 3), (2, 2, 1, 4), (5, 5, 4, 5, 5)]:
+            n = len(prefs)
+            assert estimate_prob(
+                prefs, RandomModel.NAPLES, huge, semantics, trials=2000, seed=3
+            ) == estimate_prob(
+                prefs, RandomModel.NAPLES, n - 1, semantics, trials=2000, seed=3
+            )
+        for n, path in [(3, "automaton"), (5, "automaton"), (7, "automaton"),
+                        (20, "replay")]:
+            total = estimate_expected_total(
+                n, RandomModel.NAPLES, huge, semantics, tuple_samples=300, seed=4
+            )
+            assert total.stats["path"] == path
+            assert total == estimate_expected_total(
+                n, RandomModel.NAPLES, n - 1, semantics, tuple_samples=300, seed=4
+            )
+
     def test_single_car_total(self):
         est = estimate_expected_total(
             1, RandomModel.NAPLES, tuple_samples=100, seed=1
